@@ -608,7 +608,6 @@ impl InferenceEngine for DejaVuEngine {
 #[derive(Debug, Clone)]
 pub struct TensorRtLlmEngine {
     num_gpus: usize,
-    interconnect_bandwidth: f64,
     host_config: Option<SystemConfig>,
 }
 
@@ -618,16 +617,8 @@ impl TensorRtLlmEngine {
     pub fn new(num_gpus: usize) -> Self {
         TensorRtLlmEngine {
             num_gpus,
-            interconnect_bandwidth: TENSORRT_INTERCONNECT_BANDWIDTH,
             host_config: None,
         }
-    }
-
-    /// Same engine with a different GPU-to-GPU interconnect bandwidth
-    /// (bytes/s).
-    pub fn with_interconnect_bandwidth(mut self, bandwidth: f64) -> Self {
-        self.interconnect_bandwidth = bandwidth;
-        self
     }
 
     /// Same engine, additionally validating `config` on every
@@ -655,15 +646,10 @@ impl InferenceEngine for TensorRtLlmEngine {
                 "num_gpus must be at least 1".to_string(),
             ));
         }
-        if !self.interconnect_bandwidth.is_finite() || self.interconnect_bandwidth <= 0.0 {
-            return Err(HermesError::InvalidConfig(
-                "interconnect_bandwidth must be positive".to_string(),
-            ));
-        }
         Ok(tensorrt_plan(
             workload,
             self.num_gpus,
-            self.interconnect_bandwidth,
+            TENSORRT_INTERCONNECT_BANDWIDTH,
         ))
     }
 }

@@ -68,7 +68,7 @@ impl Workload {
     /// # Errors
     ///
     /// Returns [`HermesError::InvalidWorkload`] naming the first invalid
-    /// field.
+    /// field, or the lengths whose full-context KV bytes overflow `u64`.
     pub fn validate(&self) -> Result<(), HermesError> {
         if self.batch == 0 {
             return Err(HermesError::InvalidWorkload(
@@ -84,6 +84,21 @@ impl Workload {
             return Err(HermesError::InvalidWorkload(
                 "prompt_len must be at least 1".into(),
             ));
+        }
+        let fits = self
+            .prompt_len
+            .checked_add(self.gen_len)
+            .is_some_and(|context| {
+                self.model_config()
+                    .memory_footprint()
+                    .checked_kv_cache_bytes(context, self.batch)
+                    .is_some()
+            });
+        if !fits {
+            return Err(HermesError::InvalidWorkload(format!(
+                "prompt_len {} + gen_len {} at batch {} overflows the KV-cache byte count",
+                self.prompt_len, self.gen_len, self.batch
+            )));
         }
         Ok(())
     }

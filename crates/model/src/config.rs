@@ -80,14 +80,6 @@ pub enum ActivationKind {
     GeluRelufied,
 }
 
-impl ActivationKind {
-    /// True when the model exposes activation sparsity usable by Hermes.
-    /// After ReLU-fication every evaluated model does.
-    pub fn is_sparse(self) -> bool {
-        true
-    }
-}
-
 /// Architecture hyper-parameters of a transformer LLM.
 ///
 /// All sizes follow the public model cards; derived quantities (neuron

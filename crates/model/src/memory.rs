@@ -60,8 +60,20 @@ impl MemoryFootprint {
     }
 
     /// KV-cache bytes for a sequence of the given length and batch size.
+    ///
+    /// Unchecked: callers pass lengths that
+    /// [`MemoryFootprint::checked_kv_cache_bytes`] has already accepted
+    /// (workload validation does this for every planned workload).
     pub fn kv_cache_bytes(&self, seq_len: usize, batch: usize) -> u64 {
         self.kv_bytes_per_token * seq_len as u64 * batch as u64
+    }
+
+    /// KV-cache bytes for a sequence of the given length and batch size, or
+    /// `None` when the count overflows `u64`.
+    pub fn checked_kv_cache_bytes(&self, seq_len: usize, batch: usize) -> Option<u64> {
+        self.kv_bytes_per_token
+            .checked_mul(u64::try_from(seq_len).ok()?)?
+            .checked_mul(u64::try_from(batch).ok()?)
     }
 }
 
@@ -100,6 +112,17 @@ mod tests {
     fn kv_cache_scales_linearly() {
         let fp = ModelConfig::from_id(ModelId::Llama2_13B).memory_footprint();
         assert_eq!(fp.kv_cache_bytes(256, 2), 4 * fp.kv_cache_bytes(128, 1));
+    }
+
+    #[test]
+    fn checked_kv_cache_bytes_rejects_overflow() {
+        let fp = ModelConfig::from_id(ModelId::Opt13B).memory_footprint();
+        assert_eq!(
+            fp.checked_kv_cache_bytes(256, 2),
+            Some(fp.kv_cache_bytes(256, 2))
+        );
+        assert_eq!(fp.checked_kv_cache_bytes(usize::MAX / 4, 1), None);
+        assert_eq!(fp.checked_kv_cache_bytes(1, usize::MAX), None);
     }
 
     #[test]

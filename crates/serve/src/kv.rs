@@ -1,13 +1,21 @@
-//! Paged KV-cache pool: fixed-size-block page tables per sequence.
+//! KV-cache pool: block counts per sequence against a bounded budget.
 //!
-//! Under [`KvAccounting::Paged`](crate::KvAccounting::Paged) the serving
-//! simulator stops reserving each request's worst-case KV footprint at
-//! admission (the "static preallocation" anti-pattern) and instead tracks
-//! the blocks a sequence *actually holds*: `ceil(context / block_tokens)`
-//! pages, growing by one page whenever a decoded token crosses a block
-//! boundary. Freed pages go on a LIFO free list and are reused before new
-//! pages are minted, so the pool models real allocator behaviour — block
-//! identity, reuse, high-water marks — not just a byte counter.
+//! Both [`KvAccounting`](crate::KvAccounting) modes charge KV memory through
+//! one [`KvPool`]; only the block size and the admission charge differ.
+//!
+//! - **Paged** blocks hold `block_tokens` tokens. A sequence holds
+//!   `ceil(context / block_tokens)` of them and takes one more whenever a
+//!   decoded token crosses a block boundary, instead of reserving its
+//!   worst-case footprint at admission (the "static preallocation"
+//!   anti-pattern).
+//! - **Reserve** is the degenerate pool of one-token blocks: a request is
+//!   charged `prompt_len + gen_len` blocks at admission and never grows.
+//!   KV bytes are linear in the token count, so `(used + n) · token_bytes ≤
+//!   budget` holds exactly when `used + n ≤ ⌊budget / token_bytes⌋`, and the
+//!   block capacity decides every admission as the byte budget would.
+//!
+//! The pool counts blocks; it never names them. The simulation never
+//! addresses KV contents, so every outcome depends on counts alone.
 //!
 //! Internal fragmentation is bounded by construction: a sequence wastes at
 //! most one partial block (its last), so the pool-wide waste fraction is at
@@ -17,15 +25,16 @@
 //! ([`DEFAULT_BLOCK_TOKENS`](crate::DEFAULT_BLOCK_TOKENS)), the common
 //! vLLM-style choice.
 
-use hermes_core::cast::{u64_from_usize, usize_from_u64};
+use hermes_core::cast::u64_from_usize;
 
-/// A paged KV-cache allocator over a bounded (or unbounded) pool of
-/// fixed-size blocks, with one page table per request slot.
+/// A count-only KV allocator over a bounded (or unbounded) pool of
+/// fixed-size blocks: the blocks each request slot holds, the blocks held
+/// outside any slot (the prefix cache's), their total and its high-water
+/// mark.
 ///
-/// Block ids are abstract: the simulator never addresses their contents,
-/// but minting them through a free list keeps the allocator honest — a
-/// block is owned by at most one sequence at a time, and the proptests in
-/// `tests/kv_pool.rs` hold the pool to that invariant.
+/// `used_blocks == Σ held + blocks acquired outside a slot` at all times;
+/// the proptests in `tests/kv_pool.rs` hold the pool to that conservation
+/// law, to its capacity and to the fragmentation bound.
 #[derive(Debug, Clone)]
 pub struct KvPool {
     /// Tokens per block.
@@ -34,13 +43,9 @@ pub struct KvPool {
     block_bytes: u64,
     /// Pool capacity in blocks (`None` = unbounded).
     capacity_blocks: Option<u64>,
-    /// Page table per request slot: the block ids the slot currently holds.
-    tables: Vec<Vec<u64>>,
-    /// Released block ids available for reuse (LIFO).
-    free: Vec<u64>,
-    /// Next never-used block id to mint when the free list is empty.
-    next_block: u64,
-    /// Blocks currently held across all page tables.
+    /// Blocks held per request slot.
+    held: Vec<u64>,
+    /// Blocks currently held, by slots and outside them.
     used_blocks: u64,
     /// High-water mark of `used_blocks`.
     peak_blocks: u64,
@@ -48,7 +53,7 @@ pub struct KvPool {
 
 impl KvPool {
     /// An empty pool of `capacity_blocks` blocks (`None` = unbounded) with
-    /// one (empty) page table per request slot.
+    /// `slots` empty request slots.
     pub fn new(
         block_tokens: usize,
         block_bytes: u64,
@@ -60,21 +65,19 @@ impl KvPool {
             block_tokens,
             block_bytes,
             capacity_blocks,
-            tables: vec![Vec::new(); slots],
-            free: Vec::new(),
-            next_block: 0,
+            held: vec![0; slots],
             used_blocks: 0,
             peak_blocks: 0,
         }
     }
 
-    /// Grow the pool to cover `slots` request slots (new slots get empty
-    /// page tables; existing tables are untouched). Lets a resumable
-    /// replica accept injected requests over its lifetime instead of sizing
-    /// every table up front.
+    /// Grow the pool to cover `slots` request slots (new slots hold
+    /// nothing; existing slots are untouched). Lets a resumable replica
+    /// accept injected requests over its lifetime instead of sizing every
+    /// slot up front.
     pub fn ensure_slots(&mut self, slots: usize) {
-        if self.tables.len() < slots {
-            self.tables.resize_with(slots, Vec::new);
+        if self.held.len() < slots {
+            self.held.resize(slots, 0);
         }
     }
 
@@ -93,7 +96,7 @@ impl KvPool {
         self.capacity_blocks
     }
 
-    /// Blocks currently held across all page tables.
+    /// Blocks currently held, by request slots and outside them.
     pub fn used_blocks(&self) -> u64 {
         self.used_blocks
     }
@@ -119,25 +122,16 @@ impl KvPool {
 
     /// Blocks currently held by request slot `idx`.
     pub fn held(&self, idx: usize) -> u64 {
-        u64_from_usize(self.tables[idx].len())
+        self.held[idx]
     }
 
-    /// Allocate `blocks` blocks to slot `idx`, reusing freed blocks first.
+    /// Allocate `blocks` blocks to slot `idx`.
     ///
     /// The caller must have checked [`KvPool::fits`]; allocating past a
     /// bounded capacity is a scheduler bug.
     pub fn allocate(&mut self, idx: usize, blocks: u64) {
-        debug_assert!(self.fits(blocks), "allocation past pool capacity");
-        for _ in 0..blocks {
-            let block = self.free.pop().unwrap_or_else(|| {
-                let minted = self.next_block;
-                self.next_block += 1;
-                minted
-            });
-            self.tables[idx].push(block);
-        }
-        self.used_blocks += blocks;
-        self.peak_blocks = self.peak_blocks.max(self.used_blocks);
+        self.held[idx] += blocks;
+        self.acquire_blocks(blocks);
     }
 
     /// Allocate one more block to slot `idx` (a decoded token crossed a
@@ -146,50 +140,30 @@ impl KvPool {
         self.allocate(idx, 1);
     }
 
-    /// Release every block slot `idx` holds back to the free list and
-    /// return how many were freed.
+    /// Release every block slot `idx` holds and return how many were
+    /// freed.
     pub fn release(&mut self, idx: usize) -> u64 {
-        let freed = u64_from_usize(self.tables[idx].len());
-        // Drain in reverse so re-allocation hands back the same ids in the
-        // same order (LIFO free list).
-        while let Some(block) = self.tables[idx].pop() {
-            self.free.push(block);
-        }
+        let freed = std::mem::take(&mut self.held[idx]);
         self.used_blocks -= freed;
         freed
     }
 
-    /// Take ownership of `blocks` blocks outside any request slot and
-    /// return their ids.
+    /// Take `blocks` blocks outside any request slot.
     ///
     /// The prefix cache holds resident prefixes this way: the blocks count
-    /// against `used_blocks` (and the high-water mark) like any page-table
-    /// block, but belong to the cache rather than to a sequence. The caller
-    /// must have checked [`KvPool::fits`].
-    pub fn acquire_blocks(&mut self, blocks: u64) -> Vec<u64> {
+    /// against `used_blocks` (and the high-water mark) like any slot's
+    /// blocks, but belong to the cache rather than to a sequence. The
+    /// caller must have checked [`KvPool::fits`].
+    pub fn acquire_blocks(&mut self, blocks: u64) {
         debug_assert!(self.fits(blocks), "allocation past pool capacity");
-        let mut ids = Vec::with_capacity(usize_from_u64(blocks));
-        for _ in 0..blocks {
-            let block = self.free.pop().unwrap_or_else(|| {
-                let minted = self.next_block;
-                self.next_block += 1;
-                minted
-            });
-            ids.push(block);
-        }
         self.used_blocks += blocks;
         self.peak_blocks = self.peak_blocks.max(self.used_blocks);
-        ids
     }
 
-    /// Return blocks previously taken with [`KvPool::acquire_blocks`] to
-    /// the free list.
-    pub fn surrender_blocks(&mut self, ids: &[u64]) {
-        self.used_blocks -= u64_from_usize(ids.len());
-        // Reverse for the same LIFO-stability reason as `release`.
-        for &block in ids.iter().rev() {
-            self.free.push(block);
-        }
+    /// Return `blocks` blocks previously taken with
+    /// [`KvPool::acquire_blocks`].
+    pub fn surrender_blocks(&mut self, blocks: u64) {
+        self.used_blocks -= blocks;
     }
 }
 
@@ -208,17 +182,17 @@ mod tests {
     }
 
     #[test]
-    fn freed_blocks_are_reused_before_minting() {
-        let mut pool = KvPool::new(4, 64, Some(8), 2);
+    fn released_blocks_are_available_again() {
+        let mut pool = KvPool::new(4, 64, Some(4), 2);
         pool.allocate(0, 3);
         assert_eq!(pool.held(0), 3);
         assert_eq!(pool.used_blocks(), 3);
+        assert!(!pool.fits(2));
         assert_eq!(pool.release(0), 3);
+        assert_eq!(pool.held(0), 0);
         assert_eq!(pool.used_blocks(), 0);
-        // The next allocation must come from the free list, not mint block
-        // ids 3..5.
         pool.allocate(1, 2);
-        assert!(pool.tables[1].iter().all(|&b| b < 3));
+        assert_eq!(pool.held(1), 2);
         assert_eq!(pool.peak_blocks(), 3);
     }
 
@@ -234,18 +208,16 @@ mod tests {
     }
 
     #[test]
-    fn acquired_blocks_round_trip_through_the_free_list() {
+    fn acquired_blocks_count_against_capacity_until_surrendered() {
         let mut pool = KvPool::new(4, 64, Some(4), 1);
-        let ids = pool.acquire_blocks(3);
-        assert_eq!(ids.len(), 3);
+        pool.acquire_blocks(3);
         assert_eq!(pool.used_blocks(), 3);
+        assert_eq!(pool.held(0), 0);
         assert!(pool.fits(1));
         assert!(!pool.fits(2));
-        pool.surrender_blocks(&ids);
+        pool.surrender_blocks(3);
         assert_eq!(pool.used_blocks(), 0);
-        // Surrendered blocks are reused before minting fresh ids.
         pool.allocate(0, 2);
-        assert!(pool.tables[0].iter().all(|&b| b < 3));
         assert_eq!(pool.peak_blocks(), 3);
     }
 

@@ -32,17 +32,19 @@
 //! with different deadlines *can* evict each other), and under FCFS never
 //! at all.
 //!
-//! KV memory is accounted in one of two modes ([`KvAccounting`]). The
-//! default, `Reserve`, charges each request its worst-case
+//! KV memory is charged through one block-counting [`KvPool`] in one of two
+//! modes ([`KvAccounting`]). The default, `Reserve`, is a pool of
+//! one-token blocks that charges each request its worst-case
 //! `prompt_len + gen_len` KV footprint up front at admission. `Paged`
 //! (enable with [`AdmissionConfig::with_paged_kv`]) carves the KV budget
-//! into fixed-size blocks of `block_tokens` tokens managed by a [`KvPool`]:
-//! each sequence holds a per-sequence page table of blocks covering its
-//! *current* context plus one write slot — the token it is about to decode
-//! — and grows by one block at a time as decode crosses block boundaries,
-//! so memory that `Reserve` would hold idle for unfinished generations is
-//! free to admit more requests. Freed blocks return to a free list and are
-//! reused; the report's [`KvPoolReport`](hermes_core::KvPoolReport) section
+//! into fixed-size blocks of `block_tokens` tokens: each sequence holds
+//! the blocks covering its *current* context plus one write slot — the
+//! token it is about to decode — and grows by one block at a time as
+//! decode crosses block boundaries, so memory that `Reserve` would hold
+//! idle for unfinished generations is free to admit more requests.
+//! Admission, preemption and release run the same code in both modes;
+//! only the admission charge, the bytes a swap-out writes and the growth
+//! pass differ. The report's [`KvPoolReport`](hermes_core::KvPoolReport) section
 //! tracks pool utilization (mean and peak) and internal fragmentation (the
 //! slack inside partially-filled tail blocks — bounded by one block per
 //! sequence, so small `block_tokens` waste less but grow more often). The
@@ -71,7 +73,7 @@
 //! or explicit per-request token traces), and the cache keeps the blocks
 //! of completed prefixes resident in the same [`KvPool`] the sequences
 //! allocate from, organised as a radix tree whose nodes own block-aligned
-//! edges. An admission whose prefix matches cached content maps the
+//! edges (a node of `n · block_tokens` tokens holds `n` blocks). An admission whose prefix matches cached content maps the
 //! matched blocks copy-free — charging prefill only for the unmatched
 //! suffix — and pins the matched path with a per-request lease for as long
 //! as it runs; referenced nodes are never evicted, while unreferenced ones

@@ -12,9 +12,9 @@
 //! [`PrefixCache`] is the structure both simulation loops share:
 //!
 //! - A **radix tree** over token ids. Each node owns an edge of tokens that
-//!   is a whole number of KV blocks, plus the block ids backing it (taken
-//!   from the same [`KvPool`](crate::KvPool) the sequences allocate from,
-//!   so cache residency and sequence growth compete for the same capacity).
+//!   is a whole number of KV blocks; those blocks are charged to the same
+//!   [`KvPool`](crate::KvPool) the sequences allocate from, so cache
+//!   residency and sequence growth compete for the same capacity.
 //! - **Leases** pin a root-to-node path while a request is running: every
 //!   node on the path carries a reference count, and a referenced node is
 //!   never evicted. Releasing the lease (request completion or eviction
@@ -38,8 +38,8 @@ use hermes_core::cast::u64_from_usize;
 /// matched (or inserted) cached content is in flight.
 pub(crate) type PrefixLease = usize;
 
-/// One radix-tree node: an edge of block-aligned tokens and the KV blocks
-/// backing it.
+/// One radix-tree node: an edge of block-aligned tokens, backed by
+/// `tokens.len() / block_tokens` KV blocks.
 #[derive(Debug, Clone)]
 struct Node {
     /// Arena index of the parent (`usize::MAX` for the root).
@@ -47,8 +47,6 @@ struct Node {
     /// Edge label: the tokens this node extends its parent's path by.
     /// Always a whole number of blocks; empty only for the root.
     tokens: Vec<u64>,
-    /// Pool block ids backing `tokens` (`tokens.len() / block_tokens` ids).
-    block_ids: Vec<u64>,
     /// Children keyed by the first token of their edge (a radix tree has at
     /// most one child per distinct next token). `BTreeMap` keeps iteration
     /// deterministic.
@@ -64,8 +62,10 @@ struct Node {
 }
 
 /// What a (side-effect-free) cache consultation would yield for a prefix:
-/// used by admission to decide feasibility *before* mutating anything.
-#[derive(Debug, Clone, Copy)]
+/// used by admission to decide feasibility *before* mutating anything. The
+/// default is the answer of an absent cache: nothing matched, nothing
+/// reclaimable, nothing to insert.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PrefixPlan {
     /// Tokens of the prefix already resident (block-aligned).
     pub matched: usize,
@@ -123,7 +123,6 @@ impl PrefixCache {
             nodes: vec![Node {
                 parent: usize::MAX,
                 tokens: Vec::new(),
-                block_ids: Vec::new(),
                 children: BTreeMap::new(),
                 refs: 0,
                 hits: 0,
@@ -199,7 +198,7 @@ impl PrefixCache {
             .iter()
             .enumerate()
             .filter(|(id, n)| *id != 0 && n.live && n.refs == 0 && !on_path(*id))
-            .map(|(_, n)| u64_from_usize(n.block_ids.len()))
+            .map(|(_, n)| self.blocks(n))
             .sum();
         PrefixPlan {
             matched: i,
@@ -272,11 +271,9 @@ impl PrefixCache {
         debug_assert!(at.is_multiple_of(self.block_tokens));
         debug_assert!(at > 0 && at < self.nodes[node].tokens.len());
         let tail_tokens = self.nodes[node].tokens.split_off(at);
-        let tail_blocks = self.nodes[node].block_ids.split_off(at / self.block_tokens);
         let head = Node {
             parent: self.nodes[node].parent,
             tokens: std::mem::take(&mut self.nodes[node].tokens),
-            block_ids: std::mem::take(&mut self.nodes[node].block_ids),
             children: BTreeMap::from([(tail_tokens[0], node)]),
             // Every lease through `node` covers the full original edge, so
             // the head inherits the same pin count — and the same
@@ -293,31 +290,29 @@ impl PrefixCache {
         *self.nodes[parent].children.get_mut(&first).unwrap() = head_id;
         self.nodes[node].parent = head_id;
         self.nodes[node].tokens = tail_tokens;
-        self.nodes[node].block_ids = tail_blocks;
         head_id
     }
 
     /// Extend `lease`'s pinned path with a new node holding `suffix`
-    /// (block-aligned, non-empty) backed by `block_ids` taken from the
-    /// pool with [`KvPool::acquire_blocks`](crate::KvPool::acquire_blocks).
+    /// (block-aligned, non-empty), whose blocks the caller has taken from
+    /// the pool with [`KvPool::acquire_blocks`](crate::KvPool::acquire_blocks).
     /// The lease moves to the new node. Callable only when the matching
     /// [`PrefixPlan::can_insert`] was true.
-    pub(crate) fn insert(&mut self, lease: PrefixLease, suffix: &[u64], block_ids: Vec<u64>) {
+    pub(crate) fn insert(&mut self, lease: PrefixLease, suffix: &[u64]) {
         debug_assert!(!suffix.is_empty());
-        debug_assert!(suffix.len() == block_ids.len() * self.block_tokens);
+        debug_assert!(suffix.len().is_multiple_of(self.block_tokens));
         // hermes-lint: allow(D3, reason = "lease liveness is a caller contract; inserting on a released lease is a scheduler bug worth a loud crash")
         let parent = self.leases[lease].expect("insert on a released lease");
         debug_assert!(
             !self.nodes[parent].children.contains_key(&suffix[0]),
             "insert collides with an existing edge (can_insert was false)"
         );
-        self.resident_blocks += u64_from_usize(block_ids.len());
+        self.resident_blocks += u64_from_usize(suffix.len() / self.block_tokens);
         self.resident_tokens += u64_from_usize(suffix.len());
         let now = u64_from_usize(self.stats.lookups);
         let node = self.alloc_node(Node {
             parent,
             tokens: suffix.to_vec(),
-            block_ids,
             children: BTreeMap::new(),
             // The lease repoints here, keeping the path pin balanced: the
             // ancestors were already pinned by `acquire`.
@@ -347,10 +342,11 @@ impl PrefixCache {
 
     /// Evict least-popular unreferenced leaves (cascading upward) until at
     /// least `shortfall` blocks are freed or nothing evictable remains.
-    /// Returns the freed block ids for the caller to surrender to the pool.
-    pub(crate) fn evict_for(&mut self, shortfall: u64) -> Vec<u64> {
-        let mut freed = Vec::new();
-        while u64_from_usize(freed.len()) < shortfall {
+    /// Returns the number of blocks freed, for the caller to surrender to
+    /// the pool.
+    pub(crate) fn evict_for(&mut self, shortfall: u64) -> u64 {
+        let mut freed = 0;
+        while freed < shortfall {
             let Some(victim) = self
                 .nodes
                 .iter()
@@ -364,17 +360,23 @@ impl PrefixCache {
             let parent = self.nodes[victim].parent;
             let first = self.nodes[victim].tokens[0];
             self.nodes[parent].children.remove(&first);
+            let blocks = self.blocks(&self.nodes[victim]);
             let node = &mut self.nodes[victim];
             node.live = false;
-            self.resident_blocks -= u64_from_usize(node.block_ids.len());
+            self.resident_blocks -= blocks;
             self.resident_tokens -= u64_from_usize(node.tokens.len());
-            self.stats.evicted_blocks += u64_from_usize(node.block_ids.len());
-            freed.append(&mut node.block_ids);
+            self.stats.evicted_blocks += blocks;
+            freed += blocks;
             node.tokens.clear();
             node.children.clear();
             self.free_nodes.push(victim);
         }
         freed
+    }
+
+    /// KV blocks backing `node`'s edge.
+    fn blocks(&self, node: &Node) -> u64 {
+        u64_from_usize(node.tokens.len() / self.block_tokens)
     }
 
     fn alloc_node(&mut self, node: Node) -> usize {
@@ -406,7 +408,7 @@ mod tests {
         let tokens: Vec<u64> = (100..108).collect();
         let (lease, matched) = cache.acquire(&tokens);
         assert_eq!(matched, 0);
-        cache.insert(lease, &tokens, vec![0, 1]);
+        cache.insert(lease, &tokens);
         cache.release(lease);
         (cache, tokens)
     }
@@ -440,7 +442,7 @@ mod tests {
         assert!(plan.can_insert);
         let (lease, matched) = cache.acquire(&other);
         assert_eq!(matched, 4);
-        cache.insert(lease, &other[4..], vec![2]);
+        cache.insert(lease, &other[4..]);
         assert_eq!(cache.resident_blocks(), 3);
         assert_eq!(cache.resident_tokens(), 12);
         cache.release(lease);
@@ -464,10 +466,9 @@ mod tests {
     fn referenced_nodes_are_never_evicted() {
         let (mut cache, tokens) = seeded();
         let (lease, _) = cache.acquire(&tokens);
-        assert!(cache.evict_for(2).is_empty());
+        assert_eq!(cache.evict_for(2), 0);
         cache.release(lease);
-        let freed = cache.evict_for(2);
-        assert_eq!(freed.len(), 2);
+        assert_eq!(cache.evict_for(2), 2);
         assert_eq!(cache.resident_blocks(), 0);
         assert_eq!(cache.plan(&tokens).matched, 0);
     }
@@ -479,7 +480,7 @@ mod tests {
         let cold: Vec<u64> = (10..14).collect();
         for t in [&hot, &cold] {
             let (lease, _) = cache.acquire(t);
-            cache.insert(lease, t, vec![0]);
+            cache.insert(lease, t);
             cache.release(lease);
         }
         // Touch the hot prefix twice more.
@@ -500,12 +501,11 @@ mod tests {
         let longer: Vec<u64> = tokens.iter().copied().chain(400..404).collect();
         let (lease, matched) = cache.acquire(&longer);
         assert_eq!(matched, 8);
-        cache.insert(lease, &longer[8..], vec![2]);
+        cache.insert(lease, &longer[8..]);
         cache.release(lease);
         // Three blocks across a two-node chain; freeing all of them must
         // evict the leaf and then its parent.
-        let freed = cache.evict_for(3);
-        assert_eq!(freed.len(), 3);
+        assert_eq!(cache.evict_for(3), 3);
         assert_eq!(cache.resident_blocks(), 0);
         assert_eq!(cache.resident_tokens(), 0);
     }
@@ -520,8 +520,8 @@ mod tests {
         let (lease, matched) = cache.acquire(&shared);
         assert_eq!(matched, 4);
         cache.release(lease);
-        assert!(cache.evict_for(2).is_empty());
+        assert_eq!(cache.evict_for(2), 0);
         cache.release(long_lease);
-        assert_eq!(cache.evict_for(2).len(), 2);
+        assert_eq!(cache.evict_for(2), 2);
     }
 }

@@ -14,8 +14,9 @@
 //! - plan/acquire agree with the shadow on matched length and
 //!   insertability, and `plan` is side-effect-free;
 //! - resident block/token counters match the shadow exactly;
-//! - block ids are conserved: every id handed to `insert` is either still
-//!   resident or was returned by exactly one eviction, never both;
+//! - blocks are conserved: the resident count is always the blocks handed
+//!   to `insert` minus the blocks eviction returned, and eviction never
+//!   returns more than was resident;
 //! - leased (pinned) prefixes survive any eviction pressure;
 //! - the whole op sequence is deterministic.
 
@@ -149,9 +150,8 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
     let mut shadow = Shadow::new(block_tokens);
     // Outstanding leases with the block-aligned prefix each one pinned.
     let mut leases: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut resident_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut freed_ids: BTreeSet<u64> = BTreeSet::new();
-    let mut next_id: u64 = 0;
+    let mut inserted_blocks: u64 = 0;
+    let mut freed_blocks: u64 = 0;
 
     for op in ops {
         match op {
@@ -167,13 +167,8 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
                 assert_eq!(matched, plan.matched, "plan and acquire must agree");
                 if plan.can_insert && matched < lookup.len() {
                     let suffix = &lookup[matched..];
-                    let blocks = suffix.len() / block_tokens;
-                    let ids: Vec<u64> = (next_id..next_id + blocks as u64).collect();
-                    next_id += blocks as u64;
-                    for &id in &ids {
-                        resident_ids.insert(id);
-                    }
-                    cache.insert(lease, suffix, ids);
+                    inserted_blocks += (suffix.len() / block_tokens) as u64;
+                    cache.insert(lease, suffix);
                     shadow.insert(lookup);
                 }
                 if *keep {
@@ -191,13 +186,13 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
             Op::Evict { shortfall } => {
                 let before = cache.resident_blocks();
                 let freed = cache.evict_for(*shortfall);
-                assert!(freed.len() as u64 <= before, "over-freed the cache");
-                for id in freed {
-                    // Conservation: each freed id was resident and is freed
-                    // at most once.
-                    assert!(resident_ids.remove(&id), "freed an unknown block {id}");
-                    assert!(freed_ids.insert(id), "block {id} freed twice");
-                }
+                assert!(freed <= before, "over-freed the cache");
+                assert_eq!(
+                    cache.resident_blocks(),
+                    before - freed,
+                    "eviction returned a different count than it removed"
+                );
+                freed_blocks += freed;
                 shadow.resync(&cache);
                 // Pinned prefixes survive arbitrary eviction pressure.
                 for (_, pinned) in &leases {
@@ -221,11 +216,12 @@ fn exercise(block_tokens: usize, ops: &[Op]) -> (u64, u64, usize, usize, usize, 
         );
         assert_eq!(
             cache.resident_blocks(),
-            resident_ids.len() as u64,
-            "block-id conservation"
+            inserted_blocks - freed_blocks,
+            "block-count conservation"
         );
     }
     let stats = cache.stats();
+    assert_eq!(stats.evicted_blocks, freed_blocks, "eviction tally");
     (
         cache.resident_blocks(),
         cache.resident_tokens(),

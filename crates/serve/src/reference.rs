@@ -11,16 +11,17 @@
 //! policy combination. This module is compiled only under the `reference`
 //! cargo feature; it is not part of the production build.
 //!
-//! Paged KV accounting is mirrored here with deliberately naive counters
-//! (per-request held-block tallies instead of the production
-//! [`KvPool`](crate::KvPool) free-list allocator): simulated outcomes
-//! depend only on block *counts*, so the oracle stays independent of the
-//! allocator implementation while still pinning every admission decision,
-//! growth eviction and swap charge bitwise. The prefix cache itself
+//! KV accounting is mirrored here independently of the production
+//! [`KvPool`](crate::KvPool), which charges both modes as block counts
+//! (reserve as one-token blocks at full context). The oracle keeps the two
+//! modes apart instead: reserve accounting charges bytes against the byte
+//! budget, and paged accounting uses deliberately naive per-request
+//! held-block counters. Agreement therefore pins every admission decision,
+//! growth eviction and swap charge bitwise, and proves the pool's
+//! one-token-block reading of reserve exact. The prefix cache itself
 //! ([`PrefixCache`]) *is* shared with the production loop — its radix
 //! structure and eviction order are part of the semantics under test — but
-//! its blocks are charged against the naive counters here, with placeholder
-//! block ids (the simulation depends only on counts, never on identities).
+//! its blocks are charged against the naive counters here.
 
 use hermes_core::{
     BatchState, HermesError, LatencyBreakdown, PrefillChunk, SystemConfig, SystemKind,
@@ -34,8 +35,8 @@ use crate::scheduler::{
     PrefillPolicy, PrefixCacheMode,
 };
 use crate::simulator::{
-    request_ranks, validate_paged_capacity, worst_case_bounds, ServingOutcome, ServingSimulation,
-    LENGTH_SEED_SALT, PREFIX_SEED_SALT,
+    request_ranks, validate_paged_capacity, validate_request_lengths, worst_case_bounds,
+    ServingOutcome, ServingSimulation, LENGTH_SEED_SALT, PREFIX_SEED_SALT,
 };
 use crate::tallies::{build_report, KvTallies, PrefixTallies, SwapTallies};
 
@@ -93,6 +94,7 @@ pub fn simulate_reference(
     )?;
     let engine = kind.engine(config);
     let mut plan = engine.plan(&sim.template)?;
+    validate_request_lengths(&sim.template, &requests)?;
     for bound in worst_case_bounds(&sim.template, &requests) {
         engine.plan(&bound)?;
     }
@@ -117,9 +119,8 @@ pub fn simulate_reference(
         validate_paged_capacity(bt, capacity_blocks, &requests, sim)?;
     }
     let blocks_for = |bt: usize, tokens: usize| tokens.div_ceil(bt) as u64;
-    // The production radix cache, charged against the naive counters with
-    // placeholder block ids: its structure and eviction order are the
-    // semantics under test, block identities never influence an outcome.
+    // The production radix cache, charged against the naive counters: its
+    // structure and eviction order are the semantics under test.
     let mut cache: Option<PrefixCache> = match sim.prefix_cache {
         PrefixCacheMode::Disabled => None,
         PrefixCacheMode::Lru => Some(PrefixCache::new(
@@ -298,8 +299,7 @@ pub fn simulate_reference(
                         }
                         let shortfall = (used_blocks + extra).saturating_sub(cap);
                         if shortfall > 0 {
-                            let freed = cache.as_mut().expect("cache mode").evict_for(shortfall);
-                            used_blocks -= freed.len() as u64;
+                            used_blocks -= cache.as_mut().expect("cache mode").evict_for(shortfall);
                         }
                         if do_insert {
                             used_blocks += insert_blocks;
@@ -307,7 +307,6 @@ pub fn simulate_reference(
                             cache.as_mut().expect("cache mode").insert(
                                 lease[idx].expect("lease acquired above"),
                                 &request.prefix[cplan.matched..lookup_len],
-                                vec![0; insert_blocks as usize],
                             );
                         }
                         blocks_held[idx] += own;
@@ -617,8 +616,7 @@ pub fn simulate_reference(
                 // is preempted for a grower's block.
                 if let Some(cache) = cache.as_mut() {
                     let shortfall = (used_blocks + 1).saturating_sub(cap);
-                    let freed = cache.evict_for(shortfall);
-                    used_blocks -= freed.len() as u64;
+                    used_blocks -= cache.evict_for(shortfall);
                     if used_blocks < cap {
                         blocks_held[grower] += 1;
                         used_blocks += 1;

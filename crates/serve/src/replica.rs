@@ -2,7 +2,7 @@
 //! machine.
 //!
 //! [`ReplicaSim`] owns everything one machine needs between token
-//! boundaries — the ready queue, the active decode set, the paged KV pool,
+//! boundaries — the ready queue, the active decode set, the KV pool,
 //! the prefix cache and the running tallies — and exposes the loop of
 //! [`simulate`](crate::simulator::simulate) as resumable steps:
 //! [`ReplicaSim::inject`] hands it a request, [`ReplicaSim::step_boundary`]
@@ -25,14 +25,16 @@ use hermes_core::{
 };
 
 use crate::kv::KvPool;
-use crate::prefix::{PrefixCache, PrefixLease};
+use crate::prefix::{PrefixCache, PrefixLease, PrefixPlan};
 use crate::queue::ReadyQueue;
 use crate::request::{RequestRecord, ServingRequest};
 use crate::scheduler::{
     request_kv_bytes, token_kv_bytes, BatchingPolicy, KvAccounting, PreemptionPolicy,
     PrefillPolicy, PrefixCacheMode,
 };
-use crate::simulator::{validate_paged_capacity, worst_case_bounds, ServingSimulation};
+use crate::simulator::{
+    validate_paged_capacity, validate_request_lengths, worst_case_bounds, ServingSimulation,
+};
 use crate::tallies::SwapTallies;
 
 mod active;
@@ -73,12 +75,9 @@ pub struct ReplicaSim {
     engine: Box<dyn InferenceEngine>,
     /// The template plan pricing every step.
     plan: PlannedRun,
-    /// Per-token KV bytes of the model.
-    token_bytes: u64,
-    /// Tokens per paged block (`None` under reserve accounting).
-    paged_block_tokens: Option<usize>,
-    /// The paged block pool (`None` under reserve accounting).
-    pool: Option<KvPool>,
+    /// The KV pool: paged blocks, or one-token blocks under reserve
+    /// accounting (see [`KvAccounting`]).
+    pool: KvPool,
     /// The radix cache of resident prompt prefixes (`None` when disabled).
     cache: Option<PrefixCache>,
 
@@ -122,7 +121,6 @@ pub struct ReplicaSim {
     ready: ReadyQueue,
     active: ActiveSet,
     prefilling: Vec<PrefillingSequence>,
-    active_kv_bytes: u64,
     /// Joiners that have not yet generated their first token, to stamp
     /// `first_token` after the next priced step without walking the batch.
     pending_first_token: Vec<usize>,
@@ -171,29 +169,28 @@ impl ReplicaSim {
         sim.validate()?;
         let engine = kind.engine(config);
         let plan = engine.plan(&sim.template)?;
-        let token_bytes = token_kv_bytes(&sim.template);
-        let paged_block_tokens = match sim.admission.accounting {
-            KvAccounting::Paged { block_tokens } => Some(block_tokens),
-            KvAccounting::Reserve => None,
+        // Reserve accounting is a pool of one-token blocks: the byte budget
+        // over the per-token bytes is its exact block capacity.
+        let block_tokens = match sim.admission.accounting {
+            KvAccounting::Paged { block_tokens } => block_tokens,
+            KvAccounting::Reserve => 1,
         };
-        let pool = paged_block_tokens.map(|bt| {
-            let block_bytes = bt as u64 * token_bytes;
-            let capacity = sim.admission.kv_memory_bytes.map(|b| b / block_bytes);
-            KvPool::new(bt, block_bytes, capacity, 0)
-        });
+        let block_bytes = block_tokens as u64 * token_kv_bytes(&sim.template);
+        let capacity = sim
+            .admission
+            .kv_memory_bytes
+            .and_then(|b| b.checked_div(block_bytes));
+        let pool = KvPool::new(block_tokens, block_bytes, capacity, 0);
+        // `validate` rejected a cache without paged accounting, so the
+        // cache's blocks are the pool's.
         let cache = match sim.prefix_cache {
             PrefixCacheMode::Disabled => None,
-            PrefixCacheMode::Lru => Some(PrefixCache::new(
-                // hermes-lint: allow(D3, reason = "validate_prefix_cache rejected any cache mode without paged accounting")
-                paged_block_tokens.expect("prefix cache validated to require paged accounting"),
-            )),
+            PrefixCacheMode::Lru => Some(PrefixCache::new(block_tokens)),
         };
         Ok(ReplicaSim {
             sim,
             engine,
             plan,
-            token_bytes,
-            paged_block_tokens,
             pool,
             cache,
             requests: Vec::new(),
@@ -214,7 +211,6 @@ impl ReplicaSim {
             ready: ReadyQueue::new(),
             active: ActiveSet::new(0),
             prefilling: Vec::new(),
-            active_kv_bytes: 0,
             pending_first_token: Vec::new(),
             chunks: Vec::new(),
             breakdown: LatencyBreakdown::default(),
@@ -241,17 +237,19 @@ impl ReplicaSim {
     ///
     /// # Errors
     ///
-    /// Engine planning errors for the worst-case bounds, and
-    /// [`HermesError::InvalidConfig`] when a request could never fit the
-    /// paged pool at full context.
+    /// [`HermesError::InvalidWorkload`] when a request's full-context KV
+    /// bytes overflow, engine planning errors for the worst-case bounds,
+    /// and [`HermesError::InvalidConfig`] when a request could never fit
+    /// the paged pool at full context.
     pub fn validate_requests(&self, requests: &[ServingRequest]) -> Result<(), HermesError> {
+        validate_request_lengths(&self.sim.template, requests)?;
         for bound in worst_case_bounds(&self.sim.template, requests) {
             self.engine.plan(&bound)?;
         }
-        if let Some(pool) = &self.pool {
+        if self.paged() {
             validate_paged_capacity(
-                pool.block_tokens(),
-                pool.capacity_blocks(),
+                self.pool.block_tokens(),
+                self.pool.capacity_blocks(),
                 requests,
                 &self.sim,
             )?;
@@ -320,9 +318,7 @@ impl ReplicaSim {
         self.lease.push(None);
         self.extracted.push(false);
         self.active.ensure_slots(idx + 1);
-        if let Some(pool) = self.pool.as_mut() {
-            pool.ensure_slots(idx + 1);
-        }
+        self.pool.ensure_slots(idx + 1);
         self.waiting_kv_bytes += kv;
         self.requests.push(request);
     }
@@ -347,20 +343,24 @@ impl ReplicaSim {
         self.generated_tokens
     }
 
-    /// The KV-pressure routing signal: bytes held by resident work (pool
-    /// blocks under paged accounting, reservations under reserve) plus the
-    /// worst-case bytes of requests waiting for admission, over the
-    /// replica's KV budget. 0.0 for an unbounded budget — an uncapped
+    /// The KV-pressure routing signal: bytes held by resident work (the
+    /// pool's blocks, which under reserve accounting are the reservations)
+    /// plus the worst-case bytes of requests waiting for admission, over
+    /// the replica's KV budget. 0.0 for an unbounded budget — an uncapped
     /// replica never pushes back.
     pub fn kv_pressure(&self) -> f64 {
         let Some(budget) = self.sim.admission.kv_memory_bytes else {
             return 0.0;
         };
-        let held = match &self.pool {
-            Some(pool) => pool.used_blocks() * pool.block_bytes(),
-            None => self.active_kv_bytes,
-        };
+        let held = self.pool.used_blocks() * self.pool.block_bytes();
         (held + self.waiting_kv_bytes) as f64 / budget as f64
+    }
+
+    /// Whether KV is paged (held per block of current context, grown as
+    /// decode crosses block boundaries) rather than reserved at full
+    /// context on admission.
+    fn paged(&self) -> bool {
+        matches!(self.sim.admission.accounting, KvAccounting::Paged { .. })
     }
 
     /// Prompt-prefix tokens of `prefix` already resident in this replica's
@@ -374,19 +374,6 @@ impl ReplicaSim {
                 cache.plan(&prefix[..cacheable]).matched
             }
             None => 0,
-        }
-    }
-
-    /// The earliest virtual time at which this replica has work to do:
-    /// its current clock while anything is queued, prefilling or decoding;
-    /// the next pending arrival when idle; `None` when fully drained.
-    pub fn next_event_time(&self) -> Option<f64> {
-        if !self.active.is_empty() || !self.prefilling.is_empty() || !self.ready.is_empty() {
-            Some(self.clock)
-        } else if self.next_arrival < self.requests.len() {
-            Some(self.clock.max(self.requests[self.next_arrival].arrival))
-        } else {
-            None
         }
     }
 
@@ -432,18 +419,18 @@ impl ReplicaSim {
         self.generated[victim] += (self.step - info.join_step) as usize;
         self.records[victim].preemptions += 1;
         self.active_covered_tokens -= self.covered[victim] as u64;
-        let held_bytes = match self.pool.as_mut() {
-            Some(pool) => pool.release(victim) * pool.block_bytes(),
-            None => {
-                self.active_kv_bytes -= info.kv_bytes;
-                (self.requests[victim].prompt_len + self.generated[victim]) as u64
-                    * self.token_bytes
-            }
-        };
+        let released = self.pool.release(victim);
         if self.sim.preemption == PreemptionPolicy::SwapOut {
             // Only the victim's own pages travel to the swap tier; its
             // covered prefix stays resident in the cache, pinned by the
-            // lease it keeps until completion.
+            // lease it keeps until completion. A reservation is written out
+            // only as far as its context has been filled.
+            let held_blocks = if self.paged() {
+                released
+            } else {
+                (self.requests[victim].prompt_len + self.generated[victim]) as u64
+            };
+            let held_bytes = held_blocks * self.pool.block_bytes();
             let cost = self.plan.cost.swap_cost(held_bytes);
             self.clock += cost;
             self.breakdown.communication += cost;
@@ -499,79 +486,80 @@ impl ReplicaSim {
         let mut admitted: Vec<usize> = Vec::new();
         if may_admit {
             while let Some(idx) = self.ready.peek() {
-                // `active_kv_bytes` (reserve) / the pool's held blocks
-                // (paged) already include the requests admitted at this
-                // boundary, so the caps see the whole provisional batch.
-                // Paged accounting charges only the blocks for the
-                // request's *current* context (prompt plus generated so
-                // far) plus one write slot for the next decoded token, not
-                // its worst-case footprint. The write slot guarantees an
-                // admitted sequence generates at least one token before it
-                // can need to grow — without it, a sequence rejoining with
-                // its context exactly at a block boundary would be a grower
-                // at its very next boundary and could self-evict in a
-                // zero-progress admit/evict livelock.
+                // The pool's held blocks already include the requests
+                // admitted at this boundary, so the caps see the whole
+                // provisional batch. Reserve accounting charges the
+                // request's full context in one-token blocks. Paged
+                // accounting charges only the blocks for its *current*
+                // context (prompt plus generated so far) plus one write slot
+                // for the next decoded token, less the run the prefix cache
+                // covers. The write slot guarantees an admitted sequence
+                // generates at least one token before it can need to grow —
+                // without it, a sequence rejoining with its context exactly
+                // at a block boundary would be a grower at its very next
+                // boundary and could self-evict in a zero-progress
+                // admit/evict livelock.
+                //
+                // A fresh admission (or an evict-and-refill re-admission,
+                // whose claim was dropped) consults the cache: its matched
+                // run maps the resident blocks copy-free, and — when the
+                // unmatched cacheable remainder is insertable — the request
+                // also funds the blocks that will cache it for later
+                // requests. A resuming swap-out victim keeps the lease it
+                // never released and only needs pages for its uncovered
+                // remainder. Unpinned cache blocks off the matched path
+                // count as reclaimable capacity: they are evicted before an
+                // admission is declared infeasible. Without a cache nothing
+                // is matched, reclaimable or inserted.
                 let kv = self.kv_bytes_per_request[idx];
                 let seats = self.active.len() + self.prefilling.len() + admitted.len();
-                if self.sim.prefix_cache != PrefixCacheMode::Disabled {
-                    // Cache-aware paged admission. A fresh admission (or an
-                    // evict-and-refill re-admission, whose claim was
-                    // dropped) consults the cache: its matched run maps the
-                    // resident blocks copy-free, and — when the unmatched
-                    // cacheable remainder is insertable — the request also
-                    // funds the blocks that will cache it for later
-                    // requests. A resuming swap-out victim keeps the lease
-                    // it never released and only needs pages for its
-                    // uncovered remainder. Unpinned cache blocks off the
-                    // matched path count as reclaimable capacity: they are
-                    // evicted before an admission is declared infeasible.
-                    let request = &self.requests[idx];
-                    let ctx1 = request.prompt_len + self.generated[idx] + 1;
-                    let bt = self
-                        .paged_block_tokens
-                        // hermes-lint: allow(D3, reason = "cache mode is rejected at construction unless paged accounting is on")
-                        .expect("cache requires paged accounting");
-                    let resumed = self.swapped[idx].is_some();
-                    // hermes-lint: allow(D3, reason = "cache mode implies the prefix cache was constructed")
-                    let c = self.cache.as_ref().expect("cache mode");
-                    // hermes-lint: allow(D3, reason = "cache mode is rejected at construction unless a paged pool exists")
-                    let p = self.pool.as_ref().expect("cache requires a paged pool");
-                    let cap = p.capacity_blocks().unwrap_or(u64::MAX);
-                    let (lookup_len, plan) = if resumed {
-                        (0, c.plan(&[]))
-                    } else {
-                        let cacheable = c.cacheable(request.prefix.len());
-                        (cacheable, c.plan(&request.prefix[..cacheable]))
-                    };
-                    let do_insert = !resumed && plan.can_insert && plan.matched < lookup_len;
-                    let target_covered = if resumed {
-                        self.covered[idx]
-                    } else if do_insert {
-                        lookup_len
-                    } else {
-                        plan.matched
-                    };
-                    let insert_blocks = if do_insert {
-                        ((lookup_len - plan.matched) / bt) as u64
-                    } else {
-                        0
-                    };
-                    let own = p.blocks_for_tokens(ctx1 - target_covered);
-                    let extra = own + insert_blocks;
-                    if self.sim.admission.admits(seats, 0, 0)
-                        && p.used_blocks() + extra <= cap.saturating_add(plan.freeable_blocks)
-                    {
-                        self.ready.pop();
-                        self.waiting_kv_bytes -= kv;
-                        if !resumed {
-                            let (l, matched) = self
-                                .cache
-                                .as_mut()
-                                // hermes-lint: allow(D3, reason = "cache mode implies the prefix cache was constructed")
-                                .expect("cache mode")
-                                .acquire(&self.requests[idx].prefix[..lookup_len]);
+                let request = &self.requests[idx];
+                let resumed = self.swapped[idx].is_some();
+                let (lookup_len, plan) = match &self.cache {
+                    Some(c) => {
+                        let lookup_len = if resumed {
+                            0
+                        } else {
+                            c.cacheable(request.prefix.len())
+                        };
+                        (lookup_len, c.plan(&request.prefix[..lookup_len]))
+                    }
+                    None => (0, PrefixPlan::default()),
+                };
+                let do_insert = !resumed && plan.can_insert && plan.matched < lookup_len;
+                let target_covered = if resumed {
+                    self.covered[idx]
+                } else if do_insert {
+                    lookup_len
+                } else {
+                    plan.matched
+                };
+                let insert_blocks = if do_insert {
+                    self.pool.blocks_for_tokens(lookup_len - plan.matched)
+                } else {
+                    0
+                };
+                let charged_tokens = if self.paged() {
+                    request.prompt_len + self.generated[idx] + 1 - target_covered
+                } else {
+                    request.prompt_len + request.gen_len
+                };
+                let own = self.pool.blocks_for_tokens(charged_tokens);
+                let extra = own + insert_blocks;
+                let cap = self.pool.capacity_blocks().unwrap_or(u64::MAX);
+                let used = self.pool.used_blocks();
+                if self.sim.admission.admits(seats, 0, 0)
+                    && used + extra <= cap.saturating_add(plan.freeable_blocks)
+                {
+                    self.ready.pop();
+                    self.waiting_kv_bytes -= kv;
+                    if let Some(cache) = self.cache.as_mut() {
+                        let prefix = &self.requests[idx].prefix;
+                        let lease = if resumed {
+                            None
+                        } else {
+                            let (l, matched) = cache.acquire(&prefix[..lookup_len]);
                             debug_assert_eq!(matched, plan.matched, "plan and acquire must agree");
-                            self.lease[idx] = Some(l);
                             // Only the *matched* run skips prefill; an
                             // inserted run is cache-resident but this
                             // request still computes it (into the cache's
@@ -580,86 +568,20 @@ impl ReplicaSim {
                             if !self.ever_admitted[idx] {
                                 self.records[idx].reused_prefix_tokens = matched;
                             }
-                        }
-                        // hermes-lint: allow(D3, reason = "cache mode is rejected at construction unless a paged pool exists")
-                        let pool_mut = self.pool.as_mut().expect("cache requires a paged pool");
-                        let shortfall = (pool_mut.used_blocks() + extra).saturating_sub(cap);
+                            self.lease[idx] = Some(l);
+                            Some(l)
+                        };
+                        let shortfall = (used + extra).saturating_sub(cap);
                         if shortfall > 0 {
-                            let freed = self
-                                .cache
-                                .as_mut()
-                                // hermes-lint: allow(D3, reason = "cache mode implies the prefix cache was constructed")
-                                .expect("cache mode")
-                                .evict_for(shortfall);
-                            pool_mut.surrender_blocks(&freed);
+                            self.pool.surrender_blocks(cache.evict_for(shortfall));
                         }
-                        if do_insert {
-                            let ids = pool_mut.acquire_blocks(insert_blocks);
-                            // hermes-lint: allow(D3, reason = "cache mode implies the prefix cache was constructed")
-                            self.cache.as_mut().expect("cache mode").insert(
-                                // hermes-lint: allow(D3, reason = "the lease was stored a few lines up on this same admission path")
-                                self.lease[idx].expect("lease acquired above"),
-                                &self.requests[idx].prefix[plan.matched..lookup_len],
-                                ids,
-                            );
-                        }
-                        self.pool
-                            .as_mut()
-                            // hermes-lint: allow(D3, reason = "cache mode is rejected at construction unless a paged pool exists")
-                            .expect("cache requires a paged pool")
-                            .allocate(idx, own);
-                        self.covered[idx] = target_covered;
-                        admitted.push(idx);
-                        continue;
-                    }
-                    if self.sim.preemption != PreemptionPolicy::None {
-                        // Victim coverage is conservatively treated as
-                        // unreclaimable — another in-flight lease may pin
-                        // the same nodes — so only the victims' own pages
-                        // and the already-unpinned cache blocks count.
-                        let mut victims: Vec<usize> = Vec::new();
-                        let mut freed = 0u64;
-                        let mut feasible = false;
-                        for victim in self.active.victims_outranking(self.ranks[idx]) {
-                            freed += p.held(victim);
-                            victims.push(victim);
-                            if self.sim.admission.admits(seats - victims.len(), 0, 0)
-                                && p.used_blocks() + extra
-                                    <= cap
-                                        .saturating_add(plan.freeable_blocks)
-                                        .saturating_add(freed)
-                            {
-                                feasible = true;
-                                break;
-                            }
-                        }
-                        if feasible {
-                            for victim in victims {
-                                self.evict_victim(victim);
-                            }
-                            // Retry: the released leases and pages are
-                            // re-planned from scratch.
-                            continue;
+                        if let Some(l) = lease.filter(|_| do_insert) {
+                            self.pool.acquire_blocks(insert_blocks);
+                            cache.insert(l, &prefix[plan.matched..lookup_len]);
                         }
                     }
-                    break;
-                }
-                let need_blocks = self.pool.as_ref().map(|p| {
-                    p.blocks_for_tokens(self.requests[idx].prompt_len + self.generated[idx] + 1)
-                });
-                let fits = match (&self.pool, need_blocks) {
-                    (Some(pool), Some(need)) => {
-                        self.sim.admission.admits(seats, 0, 0) && pool.fits(need)
-                    }
-                    _ => self.sim.admission.admits(seats, self.active_kv_bytes, kv),
-                };
-                if fits {
-                    self.ready.pop();
-                    self.waiting_kv_bytes -= kv;
-                    match (self.pool.as_mut(), need_blocks) {
-                        (Some(pool), Some(need)) => pool.allocate(idx, need),
-                        _ => self.active_kv_bytes += kv,
-                    }
+                    self.pool.allocate(idx, own);
+                    self.covered[idx] = target_covered;
                     admitted.push(idx);
                     continue;
                 }
@@ -669,38 +591,25 @@ impl ReplicaSim {
                     // arrival first within a rank), straight off the rank
                     // index. Sequences still prefilling under chunked
                     // prefill are not evicted. Take the smallest prefix
-                    // that makes room, if any.
+                    // that makes room, if any. Victim coverage is
+                    // conservatively treated as unreclaimable — another
+                    // in-flight lease may pin the same nodes — so only the
+                    // victims' own blocks and the already-unpinned cache
+                    // blocks count.
                     let mut victims: Vec<usize> = Vec::new();
+                    let mut freed = 0u64;
                     let mut feasible = false;
-                    match (&self.pool, need_blocks) {
-                        (Some(pool), Some(need)) => {
-                            let cap = pool.capacity_blocks().unwrap_or(u64::MAX);
-                            let mut freed = 0u64;
-                            for victim in self.active.victims_outranking(self.ranks[idx]) {
-                                freed += pool.held(victim);
-                                victims.push(victim);
-                                if self.sim.admission.admits(seats - victims.len(), 0, 0)
-                                    && pool.used_blocks() - freed + need <= cap
-                                {
-                                    feasible = true;
-                                    break;
-                                }
-                            }
-                        }
-                        _ => {
-                            let mut freed_kv = 0u64;
-                            for victim in self.active.victims_outranking(self.ranks[idx]) {
-                                freed_kv += self.kv_bytes_per_request[victim];
-                                victims.push(victim);
-                                if self.sim.admission.admits(
-                                    seats - victims.len(),
-                                    self.active_kv_bytes - freed_kv,
-                                    kv,
-                                ) {
-                                    feasible = true;
-                                    break;
-                                }
-                            }
+                    for victim in self.active.victims_outranking(self.ranks[idx]) {
+                        freed += self.pool.held(victim);
+                        victims.push(victim);
+                        if self.sim.admission.admits(seats - victims.len(), 0, 0)
+                            && used + extra
+                                <= cap
+                                    .saturating_add(plan.freeable_blocks)
+                                    .saturating_add(freed)
+                        {
+                            feasible = true;
+                            break;
                         }
                     }
                     if feasible {
@@ -708,7 +617,8 @@ impl ReplicaSim {
                             self.evict_victim(victim);
                         }
                         // Retry the blocked waiter with the freed capacity
-                        // (the victims it displaced cannot outrank it).
+                        // (the victims it displaced cannot outrank it); the
+                        // released leases and blocks are planned afresh.
                         continue;
                     }
                 }
@@ -738,11 +648,6 @@ impl ReplicaSim {
                 idx,
                 request.prompt_len + self.generated[idx],
                 request.gen_len - self.generated[idx],
-                if self.pool.is_some() {
-                    0
-                } else {
-                    self.kv_bytes_per_request[idx]
-                },
                 self.ranks[idx],
                 self.step,
             );
@@ -795,11 +700,6 @@ impl ReplicaSim {
                             idx,
                             request.prompt_len + self.generated[idx],
                             request.gen_len - self.generated[idx],
-                            if self.pool.is_some() {
-                                0
-                            } else {
-                                self.kv_bytes_per_request[idx]
-                            },
                             self.ranks[idx],
                             self.step,
                         );
@@ -827,7 +727,6 @@ impl ReplicaSim {
                             idx,
                             request.prompt_len + self.generated[idx],
                             request.gen_len - self.generated[idx],
-                            0,
                             self.ranks[idx],
                             self.step,
                         );
@@ -915,10 +814,12 @@ impl ReplicaSim {
         // worst strictly lower-ranked active victim — or itself, when none
         // exists (it cannot demand capacity from equal- or better-ranked
         // work).
-        if self.paged_block_tokens.is_some() {
+        // Reserve accounting charged the full context up front, so only a
+        // paged pool ever grows (and is sampled for the report's `kv`
+        // section).
+        if self.paged() {
             let growers: Vec<usize> = {
-                // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
-                let pool = self.pool.as_ref().expect("paged pool");
+                let pool = &self.pool;
                 let active = &self.active;
                 let covered = &self.covered;
                 let step = self.step;
@@ -939,23 +840,18 @@ impl ReplicaSim {
                 if !self.active.contains(grower) {
                     continue;
                 }
-                // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
-                if self.pool.as_ref().expect("paged pool").fits(1) {
-                    // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
-                    self.pool.as_mut().expect("paged pool").grow(grower);
+                if self.pool.fits(1) {
+                    self.pool.grow(grower);
                     continue;
                 }
                 // Unpinned cache blocks are reclaimed before any sequence
                 // is preempted for a grower's block.
                 if let Some(cache) = self.cache.as_mut() {
-                    // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
-                    let p = self.pool.as_mut().expect("paged pool");
-                    let cap = p.capacity_blocks().unwrap_or(u64::MAX);
-                    let shortfall = (p.used_blocks() + 1).saturating_sub(cap);
-                    let freed = cache.evict_for(shortfall);
-                    p.surrender_blocks(&freed);
-                    if p.fits(1) {
-                        p.grow(grower);
+                    let cap = self.pool.capacity_blocks().unwrap_or(u64::MAX);
+                    let shortfall = (self.pool.used_blocks() + 1).saturating_sub(cap);
+                    self.pool.surrender_blocks(cache.evict_for(shortfall));
+                    if self.pool.fits(1) {
+                        self.pool.grow(grower);
                         continue;
                     }
                 }
@@ -963,8 +859,7 @@ impl ReplicaSim {
                 match victim {
                     Some(victim) => {
                         self.evict_victim(victim);
-                        // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
-                        self.pool.as_mut().expect("paged pool").grow(grower);
+                        self.pool.grow(grower);
                     }
                     None => self.evict_victim(grower),
                 }
@@ -976,10 +871,8 @@ impl ReplicaSim {
             // Covered runs are stored once, in the cache's resident blocks,
             // so they are subtracted from the active contexts and counted
             // through the cache instead.
-            // hermes-lint: allow(D3, reason = "the pool exists exactly when paged_block_tokens is set, checked by the enclosing guard")
-            let pool_ref = self.pool.as_ref().expect("paged pool");
             self.kv_steps += 1;
-            self.kv_block_steps += pool_ref.used_blocks();
+            self.kv_block_steps += self.pool.used_blocks();
             let active_tokens: u64 = self
                 .active
                 .groups
@@ -1026,12 +919,7 @@ impl ReplicaSim {
         for (idx, info) in finished {
             self.records[idx].completed = self.clock;
             self.completed += 1;
-            match self.pool.as_mut() {
-                Some(pool) => {
-                    pool.release(idx);
-                }
-                None => self.active_kv_bytes -= info.kv_bytes,
-            }
+            self.pool.release(idx);
             self.generated[idx] += (self.step - info.join_step) as usize;
             // The covered run outlives the request: releasing the lease
             // leaves the prefix resident for later arrivals, reclaimable
@@ -1060,11 +948,6 @@ impl ReplicaSim {
                     seq.idx,
                     seq.target + self.reused[seq.idx],
                     request.gen_len - self.generated[seq.idx],
-                    if self.pool.is_some() {
-                        0
-                    } else {
-                        self.kv_bytes_per_request[seq.idx]
-                    },
                     self.ranks[seq.idx],
                     self.step,
                 );
@@ -1076,5 +959,43 @@ impl ReplicaSim {
             }
         }
         Ok(BoundaryOutcome::Worked)
+    }
+}
+
+#[cfg(test)]
+impl ReplicaSim {
+    /// KV conservation audit, run by the tests between token boundaries.
+    ///
+    /// - Paged: the pool's used blocks are exactly the blocks the request
+    ///   slots hold plus the blocks resident in the prefix cache.
+    /// - Reserve: the pool's used blocks are exactly the full contexts
+    ///   (`prompt_len + gen_len`) of the decoding and prefilling requests.
+    /// - Both: usage never exceeds the capacity.
+    pub(crate) fn audit_kv(&self) {
+        let used = self.pool.used_blocks();
+        if let Some(cap) = self.pool.capacity_blocks() {
+            assert!(used <= cap, "pool holds {used} blocks over capacity {cap}");
+        }
+        let expected: u64 = if self.paged() {
+            (0..self.requests.len())
+                .map(|idx| self.pool.held(idx))
+                .sum::<u64>()
+                + self.cache.as_ref().map_or(0, |c| c.resident_blocks())
+        } else {
+            let full_context = |idx: usize| {
+                let r = &self.requests[idx];
+                (r.prompt_len + r.gen_len) as u64
+            };
+            (0..self.requests.len())
+                .filter(|&idx| self.active.contains(idx))
+                .map(full_context)
+                .chain(self.prefilling.iter().map(|seq| full_context(seq.idx)))
+                .sum()
+        };
+        assert_eq!(
+            used, expected,
+            "KV blocks not conserved at step {}",
+            self.step
+        );
     }
 }

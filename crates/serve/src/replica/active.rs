@@ -33,8 +33,6 @@ pub(super) struct ActiveInfo {
     /// `context_at_join - join_step`: the sequence's context at global step
     /// `s` is `shift + s` for as long as it stays active.
     pub(super) shift: i64,
-    /// KV bytes reserved by this sequence.
-    pub(super) kv_bytes: u64,
     /// Scheduling rank, kept for O(log n) removal from the rank index.
     pub(super) rank: Rank,
 }
@@ -107,7 +105,6 @@ impl ActiveSet {
         idx: usize,
         context: usize,
         remaining: usize,
-        kv_bytes: u64,
         rank: f64,
         step: u64,
     ) {
@@ -127,7 +124,6 @@ impl ActiveSet {
             epoch,
             join_step: step,
             shift,
-            kv_bytes,
             rank: Rank(rank),
         });
         self.count += 1;
@@ -193,7 +189,7 @@ impl ActiveSet {
 }
 
 /// A sequence admitted under chunked prefill whose prompt is still being
-/// processed. It holds its KV reservation but does not join the decode batch
+/// processed. It holds its KV blocks but does not join the decode batch
 /// until the prompt completes.
 pub(super) struct PrefillingSequence {
     /// Index into the request/record vectors.

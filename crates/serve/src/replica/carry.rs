@@ -83,7 +83,7 @@ impl ReplicaSim {
     /// replica's memory: the ready queue (swap-tier contents are lost),
     /// the prefilling set (chunk progress is lost) and the active batch
     /// all hand their requests back for restart-with-recompute elsewhere;
-    /// the paged pool and the prefix cache restart cold. Returned requests
+    /// the KV pool and the prefix cache restart cold. Returned requests
     /// are sorted by global request id for deterministic re-dispatch.
     pub(crate) fn extract_all(&mut self) -> Vec<CarriedRequest> {
         let mut carried = self.extract_pending();
@@ -97,16 +97,10 @@ impl ReplicaSim {
             self.extracted_count += 1;
             carried.push(self.carry_out(idx));
         }
-        // Prefilling sequences lose their chunk progress and their pages
-        // (or their reservation, under reserve accounting).
+        // Prefilling sequences lose their chunk progress and their blocks.
         while let Some(seq) = self.prefilling.pop() {
             self.prefill_target_tokens -= seq.target;
-            match self.pool.as_mut() {
-                Some(pool) => {
-                    pool.release(seq.idx);
-                }
-                None => self.active_kv_bytes -= self.kv_bytes_per_request[seq.idx],
-            }
+            self.pool.release(seq.idx);
             self.records[seq.idx].preemptions += 1;
             self.release_claim(seq.idx);
             self.extracted[seq.idx] = true;
@@ -123,12 +117,7 @@ impl ReplicaSim {
             self.generated[idx] += (self.step - info.join_step) as usize;
             self.records[idx].preemptions += 1;
             self.active_covered_tokens -= self.covered[idx] as u64;
-            match self.pool.as_mut() {
-                Some(pool) => {
-                    pool.release(idx);
-                }
-                None => self.active_kv_bytes -= info.kv_bytes,
-            }
+            self.pool.release(idx);
             self.release_claim(idx);
             self.extracted[idx] = true;
             self.extracted_count += 1;
@@ -137,20 +126,17 @@ impl ReplicaSim {
         self.pending_first_token.clear();
         self.chunks.clear();
         debug_assert_eq!(self.active_covered_tokens, 0);
-        debug_assert_eq!(self.active_kv_bytes, 0);
         // The machine's memory restarts cold: fresh pool (the block
         // high-water mark restarts with it), fresh cache.
-        if let Some(bt) = self.paged_block_tokens {
-            let block_bytes = bt as u64 * self.token_bytes;
-            let capacity = self.sim.admission.kv_memory_bytes.map(|b| b / block_bytes);
-            self.pool = Some(KvPool::new(bt, block_bytes, capacity, self.requests.len()));
-        }
+        let bt = self.pool.block_tokens();
+        self.pool = KvPool::new(
+            bt,
+            self.pool.block_bytes(),
+            self.pool.capacity_blocks(),
+            self.requests.len(),
+        );
         if self.cache.is_some() {
-            self.cache = Some(PrefixCache::new(
-                self.paged_block_tokens
-                    // hermes-lint: allow(D3, reason = "validate_prefix_cache rejected any cache mode without paged accounting")
-                    .expect("prefix cache validated to require paged accounting"),
-            ));
+            self.cache = Some(PrefixCache::new(bt));
         }
         carried.sort_by_key(|c| c.record.id);
         carried
@@ -200,11 +186,11 @@ impl ReplicaSim {
                 .collect();
             &filtered
         };
-        let kv_tallies = self.pool.as_ref().map(|pool| KvTallies {
-            block_tokens: pool.block_tokens(),
-            block_bytes: pool.block_bytes(),
-            capacity_blocks: pool.capacity_blocks(),
-            peak_blocks: pool.peak_blocks(),
+        let kv_tallies = self.paged().then(|| KvTallies {
+            block_tokens: self.pool.block_tokens(),
+            block_bytes: self.pool.block_bytes(),
+            capacity_blocks: self.pool.capacity_blocks(),
+            peak_blocks: self.pool.peak_blocks(),
             block_steps: self.kv_block_steps,
             used_token_steps: self.kv_used_token_steps,
             steps: self.kv_steps,

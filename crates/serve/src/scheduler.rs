@@ -130,7 +130,7 @@ impl SchedulingPolicy {
 /// Whether the serving scheduler keeps completed prompts' prefix KV blocks
 /// resident for reuse by later requests declaring the same prefix.
 ///
-/// The cache operates over the paged KV pool (it owns block ranges), so
+/// The cache operates over the paged KV pool (it holds whole blocks), so
 /// enabling it requires [`KvAccounting::Paged`]; the simulator rejects it
 /// under reserve accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -206,7 +206,10 @@ pub enum KvAccounting {
     /// Reserve the request's full-context (prompt + generation) KV
     /// footprint for its whole lifetime at admission — simple, but
     /// worst-case: a request holds capacity it will not touch for hundreds
-    /// of decode steps (the static-preallocation anti-pattern).
+    /// of decode steps (the static-preallocation anti-pattern). Charged as
+    /// a [`KvPool`](crate::KvPool) of one-token blocks: `prompt_len +
+    /// gen_len` blocks at admission, never grown, against a capacity of
+    /// the KV budget over the per-token bytes.
     #[default]
     Reserve,
     /// Paged accounting over a [`KvPool`](crate::KvPool): a request is

@@ -336,6 +336,17 @@ pub fn simulate(
     config: &SystemConfig,
     sim: &ServingSimulation,
 ) -> Result<ServingOutcome, HermesError> {
+    let mut replica = loaded_replica(kind, config, sim)?;
+    replica.run_to_completion()?;
+    Ok(replica.into_outcome())
+}
+
+/// Sample `sim`'s requests and inject them all into a fresh replica.
+fn loaded_replica(
+    kind: SystemKind,
+    config: &SystemConfig,
+    sim: &ServingSimulation,
+) -> Result<ReplicaSim, HermesError> {
     sim.validate()?;
     let times = sample_arrival_times(&sim.arrival, sim.num_requests, sim.arrival_seed)?;
     let requests = ServingRequest::sample(
@@ -355,8 +366,34 @@ pub fn simulate(
     for (request, rank) in requests.into_iter().zip(ranks) {
         replica.inject(request, rank);
     }
-    replica.run_to_completion()?;
-    Ok(replica.into_outcome())
+    Ok(replica)
+}
+
+/// Reject any request whose full context (`prompt_len + gen_len`), or the
+/// KV bytes of that context, overflows. Runs before the worst-case bounds
+/// add up request lengths and before the engine plans them.
+///
+/// # Errors
+///
+/// [`HermesError::InvalidWorkload`] naming the first overflowing request.
+pub(crate) fn validate_request_lengths(
+    template: &Workload,
+    requests: &[ServingRequest],
+) -> Result<(), HermesError> {
+    let footprint = template.model_config().memory_footprint();
+    for r in requests {
+        let fits = r
+            .prompt_len
+            .checked_add(r.gen_len)
+            .is_some_and(|context| footprint.checked_kv_cache_bytes(context, 1).is_some());
+        if !fits {
+            return Err(HermesError::InvalidWorkload(format!(
+                "request {} (prompt_len {}, gen_len {}) overflows the KV-cache byte count",
+                r.id, r.prompt_len, r.gen_len
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Reject a bounded paged pool without a preemption policy: a sequence that

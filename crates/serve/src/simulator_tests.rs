@@ -3,6 +3,7 @@
 //! `simulator::tests`, so `super::*` still resolves to the simulator.
 
 use super::*;
+use crate::replica::BoundaryOutcome;
 use crate::scheduler::request_kv_bytes;
 use hermes_core::{DistributionStats, RequestClass, RequestLength};
 use hermes_model::ModelId;
@@ -27,6 +28,48 @@ fn request(id: usize, arrival: f64, prompt_len: usize, gen_len: usize) -> Servin
         class: RequestClass::default(),
         prefix: Vec::new(),
     }
+}
+
+/// `simulate`, driven one token boundary at a time with the KV
+/// conservation audit after every boundary; the outcome must be exactly
+/// `simulate`'s. A replay is then failed halfway through the run: the
+/// audit must hold after `extract_all` empties the replica, and again at
+/// every boundary once the extracted requests are re-injected into it and
+/// run to completion.
+fn simulate_audited(kind: SystemKind, sim: &ServingSimulation) -> ServingOutcome {
+    let mut replica = loaded_replica(kind, &config(), sim).unwrap();
+    replica.audit_kv();
+    while replica.step_boundary(f64::INFINITY).unwrap() != BoundaryOutcome::Idle {
+        replica.audit_kv();
+    }
+    let outcome = replica.into_outcome();
+    let plain = simulate(kind, &config(), sim).unwrap();
+    assert_eq!(
+        format!("{outcome:?}"),
+        format!("{plain:?}"),
+        "the boundary-by-boundary drive diverged from simulate"
+    );
+
+    let mid = outcome.report.makespan / 2.0;
+    let mut replay = loaded_replica(kind, &config(), sim).unwrap();
+    while replay.clock() < mid && replay.step_boundary(mid).unwrap() != BoundaryOutcome::Idle {
+        replay.audit_kv();
+    }
+    let carried = replay.extract_all();
+    replay.audit_kv();
+    let restart = replay.clock();
+    for request in carried {
+        replay.inject_carried(request, restart);
+    }
+    while replay.step_boundary(f64::INFINITY).unwrap() != BoundaryOutcome::Idle {
+        replay.audit_kv();
+    }
+    assert_eq!(
+        replay.completed(),
+        sim.num_requests,
+        "failover lost requests"
+    );
+    outcome
 }
 
 /// Regression for the re-validation hole: a sampled request with a
@@ -143,15 +186,13 @@ fn chunked_prefill_reproduces_total_work_and_generates_everything() {
     // requests and generates every token.
     let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 0.5 }, 6);
     for (chunk_tokens, budget) in [(8, 16), (5, 5), (7, 3), (64, 64)] {
-        let outcome = simulate(
+        let outcome = simulate_audited(
             SystemKind::hermes_base(),
-            &config(),
             &sim.clone().with_prefill(PrefillPolicy::Chunked {
                 chunk_tokens,
                 budget,
             }),
-        )
-        .unwrap();
+        );
         assert_eq!(outcome.report.completed, 6, "chunk {chunk_tokens}");
         assert_eq!(
             outcome.report.generated_tokens,
@@ -378,6 +419,35 @@ fn oversized_sampled_lengths_fail_memory_validation() {
     ));
 }
 
+/// Regression: a context whose KV bytes overflow `u64` used to wrap to a
+/// small byte count in release builds, so the run was accepted and
+/// "completed". It must fail with a typed error instead, whether the
+/// lengths come from the template or from a trace entry.
+#[test]
+fn kv_byte_overflow_is_rejected() {
+    let huge = usize::MAX / 4;
+    let mut w = template();
+    w.prompt_len = huge;
+    let from_template = ServingSimulation::new(w, ArrivalProcess::AllAtOnce, 1);
+    // This entry's `prompt_len + gen_len` itself overflows `usize`.
+    let from_trace = ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 1).with_lengths(
+        LengthDistribution::Trace {
+            lengths: vec![RequestLength {
+                prompt_len: usize::MAX,
+                gen_len: 8,
+            }],
+        },
+    );
+    for sim in [from_template, from_trace] {
+        match simulate(SystemKind::hermes_base(), &config(), &sim) {
+            Err(HermesError::InvalidWorkload(msg)) => {
+                assert!(msg.contains("overflows"), "{msg}");
+            }
+            other => panic!("expected InvalidWorkload, got {other:?}"),
+        }
+    }
+}
+
 /// KV budget that fits one template request but not two.
 fn one_seat_kv_cap() -> u64 {
     let per_request = request_kv_bytes(&template(), 32, 8);
@@ -416,7 +486,7 @@ fn priority_preemption_evicts_the_lower_tier_and_everyone_completes() {
         .with_scheduling(SchedulingPolicy::Priority)
         .with_preemption(PreemptionPolicy::EvictAndRefill)
         .with_prefill(prefill);
-        let outcome = simulate(SystemKind::hermes_base(), &config(), &sim).unwrap();
+        let outcome = simulate_audited(SystemKind::hermes_base(), &sim);
         let name = prefill.name();
 
         assert_eq!(outcome.report.completed, 2, "{name}");
@@ -852,16 +922,14 @@ fn paged_admission_packs_more_requests_into_the_same_budget() {
             .with_admission(AdmissionConfig::unlimited().with_kv_memory_bytes(budget)),
     )
     .unwrap();
-    let paged = simulate(
+    let paged = simulate_audited(
         SystemKind::hermes_base(),
-        &config(),
         &base.clone().with_admission(
             AdmissionConfig::unlimited()
                 .with_kv_memory_bytes(budget)
                 .with_paged_kv(4),
         ),
-    )
-    .unwrap();
+    );
     assert_eq!(reserve.report.completed, 6);
     assert_eq!(paged.report.completed, 6);
     assert!(
@@ -897,12 +965,10 @@ fn swap_out_resumes_without_recompute() {
     .with_scheduling(SchedulingPolicy::Priority)
     .with_preemption(PreemptionPolicy::EvictAndRefill);
     let evicted = simulate(SystemKind::hermes_base(), &config(), &sim).unwrap();
-    let swapped = simulate(
+    let swapped = simulate_audited(
         SystemKind::hermes_base(),
-        &config(),
         &sim.clone().with_preemption(PreemptionPolicy::SwapOut),
-    )
-    .unwrap();
+    );
 
     assert_eq!(swapped.report.completed, 2);
     assert_eq!(swapped.report.generated_tokens, 16);
@@ -924,6 +990,42 @@ fn swap_out_resumes_without_recompute() {
     assert!(swap.swapped_out_bytes > 0);
     assert!(swap.seconds > 0.0);
     assert!(evicted.report.swap.is_none());
+}
+
+#[test]
+fn paged_prefix_cache_swap_out_conserves_kv_blocks() {
+    // Eight shared prefixes (32 cache blocks) over a 30-block paged pool
+    // under priority swap-out: cache inserts, lease pins, cache
+    // evictions, growth evictions and swap round trips all move blocks,
+    // and the audit must balance the pool against the page tables plus
+    // the cache at every boundary.
+    let mut w = template();
+    w.prompt_len = 24;
+    w.gen_len = 16;
+    let budget = request_kv_bytes(&w, 24, 16) * 3;
+    let sim = ServingSimulation::new(w, ArrivalProcess::Poisson { rate: 40.0 }, 24)
+        .with_arrival_seed(5)
+        .with_admission(
+            AdmissionConfig::unlimited()
+                .with_kv_memory_bytes(budget)
+                .with_paged_kv(4),
+        )
+        .with_classes(PrioritySpec::Trace {
+            classes: (0..24).map(|i| RequestClass::new(i % 3)).collect(),
+        })
+        .with_scheduling(SchedulingPolicy::Priority)
+        .with_preemption(PreemptionPolicy::SwapOut)
+        .with_prompts(PromptSpec::SharedGroups {
+            groups: 8,
+            prefix_len: 16,
+        })
+        .with_prefix_cache(PrefixCacheMode::Lru);
+    let outcome = simulate_audited(SystemKind::hermes_base(), &sim);
+    assert_eq!(outcome.report.completed, 24);
+    let prefix = outcome.report.prefix.as_ref().expect("cache report");
+    assert!(prefix.hits > 0 && prefix.evicted_blocks > 0, "{prefix:?}");
+    let swap = outcome.report.swap.as_ref().expect("swap report");
+    assert!(swap.swap_outs > 0, "{swap:?}");
 }
 
 #[test]

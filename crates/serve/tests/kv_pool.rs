@@ -1,14 +1,12 @@
-//! Property tests of the paged KV-cache allocator ([`hermes_serve::KvPool`]).
+//! Property tests of the count-only KV-cache allocator
+//! ([`hermes_serve::KvPool`]).
 //!
 //! Random allocate/grow/release interleavings across many slots, checked
 //! after every operation against the allocator's core invariants:
 //!
-//! - **No double allocation** — a block id is owned by at most one page
-//!   table at a time; conservation (`used_blocks == Σ held`) can only hold
-//!   across reuse if no id ever serves two tables.
 //! - **Alloc/free conservation** — `used_blocks` always equals the sum of
-//!   held blocks and the peak is a monotone high-water mark within any
-//!   bounded capacity.
+//!   held blocks, also when one slot's released blocks go to another, and
+//!   the peak is a monotone high-water mark within any bounded capacity.
 //! - **Bounded internal fragmentation** — a sequence holding the blocks
 //!   for a token context wastes less than one block: `held * block_tokens
 //!   - tokens < block_tokens`.
@@ -128,9 +126,9 @@ proptest! {
         }
     }
 
-    /// Conservation across free-list reuse: releasing one slot and handing
-    /// its blocks to another leaves the total unchanged and both per-slot
-    /// counts exact — only possible if no block id serves two tables.
+    /// Conservation across reuse: releasing one slot and handing its blocks
+    /// to another leaves the total unchanged and both per-slot counts
+    /// exact, so no block is ever counted against two slots.
     #[test]
     fn no_block_is_double_allocated(
         block_tokens in 1usize..9,
@@ -148,8 +146,8 @@ proptest! {
         }
         let total: u64 = held.iter().sum();
         prop_assert_eq!(pool.used_blocks(), total);
-        // Release one slot and re-allocate elsewhere: the reused ids must
-        // leave the totals exact.
+        // Release one slot and re-allocate elsewhere: the reused blocks
+        // must leave the totals exact.
         let freed = pool.release(0);
         prop_assert_eq!(freed, held[0]);
         held[0] = 0;
