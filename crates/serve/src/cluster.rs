@@ -21,7 +21,7 @@
 use hermes_core::{ClusterReport, HermesError, ReplicaReport, SystemConfig, SystemKind};
 
 use crate::arrival::sample_arrival_times;
-use crate::replica::{CarriedRequest, ReplicaSim};
+use crate::replica::{ReplicaSim, RequestSlot};
 use crate::request::{RequestRecord, ServingRequest};
 use crate::simulator::{request_ranks, ServingSimulation, LENGTH_SEED_SALT, PREFIX_SEED_SALT};
 
@@ -306,8 +306,11 @@ impl ClusterSimulator {
             rsim.classes = scenario.classes.clone();
             rsim.prompts = scenario.prompts.clone();
             rsim.scheduling = scenario.scheduling;
-            let replica = ReplicaSim::new(spec.kind, &spec.config, rsim)?;
+            let mut replica = ReplicaSim::new(spec.kind, &spec.config, rsim)?;
             replica.validate_requests(&requests)?;
+            // Sized for an even share of the fleet's requests; a replica
+            // routed more grows as it goes.
+            replica.reserve(requests.len().div_ceil(sim.replicas.len()));
             replicas.push(replica);
         }
         let mut events = sim.events.clone();
@@ -392,13 +395,13 @@ impl ClusterSimulator {
 
     /// Re-dispatch the requests a drain/fail handed back, in request-id
     /// order, as fresh arrivals at the event time.
-    fn redispatch(&mut self, carried: Vec<CarriedRequest>, at: f64) -> Result<(), HermesError> {
+    fn redispatch(&mut self, carried: Vec<RequestSlot>, at: f64) -> Result<(), HermesError> {
         for c in carried {
             let Some(target) = self.route(&c.request) else {
                 return Err(HermesError::InvalidConfig(format!(
                     "no routable replica to re-dispatch request {} at t={at}: every replica \
                      is drained or failed",
-                    c.record.id
+                    c.request.id
                 )));
             };
             self.routed[target] += 1;

@@ -73,6 +73,12 @@ impl ReadyQueue {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
+
+    /// The waiting request indexes, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.heap.iter().map(|Reverse((_, idx))| *idx)
+    }
 }
 
 #[cfg(test)]

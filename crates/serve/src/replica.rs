@@ -13,11 +13,10 @@
 //! monolithic loop bitwise; N replicas advanced on one shared clock by the
 //! [`cluster`](crate::cluster) router are the multi-replica fleet.
 //!
-//! The boundary body is a faithful transplant of the event-heap hot loop
-//! (PR 6), including the paged-KV admission/growth machinery (PR 7) and the
-//! prefix-cache paths (PR 8): every operation happens in the same order on
-//! the same state, so the PR 3/6 bitwise equivalence regressions hold
-//! through the refactor.
+//! Everything the replica knows about one request lives in one
+//! `RequestSlot`: the request, its rank and record, its decode progress
+//! and its swap and prefix-cache claims. The queue, the decode batch and
+//! the KV pool refer to a request by its slot index, in injection order.
 
 use hermes_core::{
     HermesError, InferenceEngine, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig,
@@ -41,7 +40,6 @@ mod active;
 mod carry;
 
 use active::{ActiveInfo, ActiveSet, PrefillingSequence};
-pub(crate) use carry::CarriedRequest;
 
 /// What one call to [`ReplicaSim::step_boundary`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +54,60 @@ pub enum BoundaryOutcome {
     Idle,
 }
 
+/// Everything a replica keeps about one injected request. A drain or
+/// failure hands the slot back to the router (see
+/// [`ReplicaSim::extract_pending`]) with its replica-local claims reset.
+#[derive(Clone)]
+pub(crate) struct RequestSlot {
+    /// The request; on a re-dispatched slot, `arrival` is the re-dispatch time.
+    pub(crate) request: ServingRequest,
+    /// Global scheduling rank (immutable, see [`crate::queue`]).
+    rank: f64,
+    /// Lifecycle stamps, kept across a re-dispatch.
+    record: RequestRecord,
+    /// Full-context KV bytes under this replica's template.
+    kv_bytes: u64,
+    /// Tokens generated so far, banked when the sequence leaves the decode
+    /// batch. A resumed request re-prefills them (restart with recompute)
+    /// and only decodes the remainder.
+    generated: usize,
+    /// Whether the first admission has been stamped (re-admissions after a
+    /// preemption keep the original queueing delay).
+    ever_admitted: bool,
+    /// Bytes a swapped-out victim holds on the swap tier (`None` while
+    /// resident).
+    swapped: Option<u64>,
+    /// Leading context run stored in cache blocks instead of own pages.
+    covered: usize,
+    /// Part of the covered run whose KV existed at admission.
+    reused: usize,
+    /// Pin on the request's cached path while it is in flight.
+    lease: Option<PrefixLease>,
+    /// Handed back to the router: left out of this replica's report.
+    extracted: bool,
+}
+
+impl RequestSlot {
+    /// Prefill tokens an admission must compute: the prompt plus the
+    /// tokens already generated (restart with recompute), less the run
+    /// reused from the prefix cache.
+    fn prefill_target(&self) -> usize {
+        self.request.prompt_len + self.generated - self.reused
+    }
+
+    /// Stamp the first admission at `clock`; later admissions keep it.
+    fn stamp_admitted(&mut self, clock: f64) {
+        if !self.ever_admitted {
+            self.record.admitted = clock;
+            self.ever_admitted = true;
+        }
+    }
+}
+
 /// One simulated serving machine as a resumable state machine: the
 /// extracted per-boundary body of [`simulate`](crate::simulator::simulate),
-/// owning the ready queue, active set, KV pool, prefix cache and tallies.
+/// owning the ready queue, active set, KV pool, prefix cache and tallies,
+/// and one `RequestSlot` per injected request.
 ///
 /// Requests enter through [`ReplicaSim::inject`] (in non-decreasing arrival
 /// order); the machine advances via [`ReplicaSim::step_boundary`] /
@@ -80,37 +129,8 @@ pub struct ReplicaSim {
     pool: KvPool,
     /// The radix cache of resident prompt prefixes (`None` when disabled).
     cache: Option<PrefixCache>,
-
-    // ---- per-request state, appended by `inject` ----
-    requests: Vec<ServingRequest>,
-    /// Arrival time of every injected request, for the empirical-rate
-    /// fallback of the report.
-    times: Vec<f64>,
-    ranks: Vec<f64>,
-    records: Vec<RequestRecord>,
-    kv_bytes_per_request: Vec<u64>,
-    /// Tokens each request has generated so far; survives preemption, so a
-    /// resumed request re-prefills its progress (restart with recompute)
-    /// and only decodes the remainder. Updated lazily, when a sequence
-    /// *leaves* the active set.
-    generated: Vec<usize>,
-    /// Whether each request's first admission has been stamped
-    /// (re-admissions after a preemption keep the original queueing delay).
-    ever_admitted: Vec<bool>,
-    /// Bytes each swapped-out victim is holding on the swap tier, awaiting
-    /// the swap-in on resume (`None` while resident). Only SwapOut sets it.
-    swapped: Vec<Option<u64>>,
-    /// Leading context run stored in cache blocks instead of own pages.
-    covered: Vec<usize>,
-    /// Part of the covered run whose KV existed at admission (prefill
-    /// skipped).
-    reused: Vec<usize>,
-    /// Pin on the request's cached path while it is in flight.
-    lease: Vec<Option<PrefixLease>>,
-    /// Requests handed back to the router by a drain/fail event; their
-    /// records live on (and complete) on another replica, so they are
-    /// excluded from this replica's report.
-    extracted: Vec<bool>,
+    /// One slot per injected request, in injection order.
+    slots: Vec<RequestSlot>,
 
     // ---- loop state ----
     clock: f64,
@@ -121,8 +141,9 @@ pub struct ReplicaSim {
     ready: ReadyQueue,
     active: ActiveSet,
     prefilling: Vec<PrefillingSequence>,
-    /// Joiners that have not yet generated their first token, to stamp
-    /// `first_token` after the next priced step without walking the batch.
+    /// Joiners yet to generate their first token, stamped after the next
+    /// priced step. One evicted before that step is dropped unstamped and
+    /// pushed again by [`ReplicaSim::join_decode`] when it rejoins.
     pending_first_token: Vec<usize>,
     /// This boundary's prefill chunks, reused across boundaries so the hot
     /// path reuses one allocation.
@@ -151,6 +172,10 @@ pub struct ReplicaSim {
     /// Worst-case KV bytes of requests injected but not yet admitted — the
     /// queued half of the KV-pressure routing signal.
     waiting_kv_bytes: u64,
+
+    /// The clock at the last [`ReplicaSim::audit`].
+    #[cfg(test)]
+    audited_clock: f64,
 }
 
 impl ReplicaSim {
@@ -193,23 +218,12 @@ impl ReplicaSim {
             plan,
             pool,
             cache,
-            requests: Vec::new(),
-            times: Vec::new(),
-            ranks: Vec::new(),
-            records: Vec::new(),
-            kv_bytes_per_request: Vec::new(),
-            generated: Vec::new(),
-            ever_admitted: Vec::new(),
-            swapped: Vec::new(),
-            covered: Vec::new(),
-            reused: Vec::new(),
-            lease: Vec::new(),
-            extracted: Vec::new(),
+            slots: Vec::new(),
             clock: 0.0,
             step: 0,
             next_arrival: 0,
             ready: ReadyQueue::new(),
-            active: ActiveSet::new(0),
+            active: ActiveSet::default(),
             prefilling: Vec::new(),
             pending_first_token: Vec::new(),
             chunks: Vec::new(),
@@ -227,6 +241,8 @@ impl ReplicaSim {
             recomputed_prefill_tokens: 0,
             extracted_count: 0,
             waiting_kv_bytes: 0,
+            #[cfg(test)]
+            audited_clock: 0.0,
         })
     }
 
@@ -257,6 +273,15 @@ impl ReplicaSim {
         Ok(())
     }
 
+    /// Size the per-request state for `additional` more injections up
+    /// front, so a large trace does not grow it by doubling.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.slots.reserve_exact(additional);
+        let slots = self.slots.len() + additional;
+        self.active.ensure_slots(slots);
+        self.pool.ensure_slots(slots);
+    }
+
     /// Hand the replica a request with its (globally computed) scheduling
     /// rank. Requests must be injected in non-decreasing arrival order —
     /// the replica's event loop pulls them into the ready queue as its
@@ -274,53 +299,43 @@ impl ReplicaSim {
             preemptions: 0,
             reused_prefix_tokens: 0,
         };
-        self.inject_inner(request, rank, 0, false, record);
+        self.push_slot(RequestSlot {
+            request,
+            rank,
+            record,
+            kv_bytes: 0,
+            generated: 0,
+            ever_admitted: false,
+            swapped: None,
+            covered: 0,
+            reused: 0,
+            lease: None,
+            extracted: false,
+        });
     }
 
-    /// Re-dispatch a request extracted from another replica: its record
-    /// (original arrival/admission stamps) and decode progress travel with
-    /// it, and the restart-with-recompute path re-prefills the progress.
-    /// `arrival` is the re-dispatch time (the drain/fail event time).
-    pub(crate) fn inject_carried(&mut self, mut carried: CarriedRequest, arrival: f64) {
-        carried.request.arrival = arrival;
-        self.inject_inner(
-            carried.request,
-            carried.rank,
-            carried.generated,
-            carried.ever_admitted,
-            carried.record,
-        );
+    /// Re-dispatch a slot extracted from another replica at `arrival`, the
+    /// drain/fail event time. Its record and decode progress travel with
+    /// it; restart with recompute re-prefills the progress.
+    pub(crate) fn inject_carried(&mut self, mut slot: RequestSlot, arrival: f64) {
+        slot.request.arrival = arrival;
+        self.push_slot(slot);
     }
 
-    fn inject_inner(
-        &mut self,
-        request: ServingRequest,
-        rank: f64,
-        generated: usize,
-        ever_admitted: bool,
-        record: RequestRecord,
-    ) {
+    /// Append `slot`, pricing its KV bytes under this replica's template.
+    fn push_slot(&mut self, mut slot: RequestSlot) {
         debug_assert!(
-            self.times.last().is_none_or(|&t| request.arrival >= t),
+            self.slots
+                .last()
+                .is_none_or(|last| slot.request.arrival >= last.request.arrival),
             "requests must be injected in arrival order"
         );
-        let idx = self.requests.len();
-        let kv = request_kv_bytes(&self.sim.template, request.prompt_len, request.gen_len);
-        self.times.push(request.arrival);
-        self.ranks.push(rank);
-        self.records.push(record);
-        self.kv_bytes_per_request.push(kv);
-        self.generated.push(generated);
-        self.ever_admitted.push(ever_admitted);
-        self.swapped.push(None);
-        self.covered.push(0);
-        self.reused.push(0);
-        self.lease.push(None);
-        self.extracted.push(false);
-        self.active.ensure_slots(idx + 1);
-        self.pool.ensure_slots(idx + 1);
-        self.waiting_kv_bytes += kv;
-        self.requests.push(request);
+        let request = &slot.request;
+        slot.kv_bytes = request_kv_bytes(&self.sim.template, request.prompt_len, request.gen_len);
+        self.waiting_kv_bytes += slot.kv_bytes;
+        self.slots.push(slot);
+        self.active.ensure_slots(self.slots.len());
+        self.pool.ensure_slots(self.slots.len());
     }
 
     /// The replica's virtual clock.
@@ -330,7 +345,7 @@ impl ReplicaSim {
 
     /// Requests injected and neither completed nor extracted away.
     pub fn outstanding(&self) -> usize {
-        self.requests.len() - self.extracted_count - self.completed
+        self.slots.len() - self.extracted_count - self.completed
     }
 
     /// Requests completed on this replica.
@@ -402,12 +417,46 @@ impl ReplicaSim {
     /// Propagates the unsatisfiable-admission error of
     /// [`ReplicaSim::step_boundary`].
     pub fn run_to_completion(&mut self) -> Result<(), HermesError> {
-        loop {
-            match self.step_boundary(f64::INFINITY)? {
-                BoundaryOutcome::Worked | BoundaryOutcome::Jumped => {}
-                BoundaryOutcome::Idle => return Ok(()),
-            }
+        self.advance_to(f64::INFINITY)
+    }
+
+    /// Put sequence `idx` into the decode batch with its whole context
+    /// resident. One that has not generated a token yet gets its
+    /// `first_token` stamp after the next priced step.
+    fn join_decode(&mut self, idx: usize) {
+        let slot = &self.slots[idx];
+        let request = &slot.request;
+        self.active.join(
+            idx,
+            request.prompt_len + slot.generated,
+            request.gen_len - slot.generated,
+            slot.rank,
+            self.step,
+        );
+        self.active_covered_tokens += slot.covered as u64;
+        if slot.generated == 0 {
+            self.pending_first_token.push(idx);
         }
+    }
+
+    /// Sequence `idx` (`info`) just left the decode batch: bank its decode
+    /// progress, drop its covered run from the active tally and release
+    /// its own blocks, returning how many it held.
+    fn leave_decode(&mut self, idx: usize, info: ActiveInfo) -> u64 {
+        let slot = &mut self.slots[idx];
+        slot.generated += (self.step - info.join_step) as usize;
+        self.active_covered_tokens -= slot.covered as u64;
+        self.pool.release(idx)
+    }
+
+    /// Drop request `idx`'s prefix-cache claim (lease, covered/reused runs).
+    fn release_claim(&mut self, idx: usize) {
+        let slot = &mut self.slots[idx];
+        if let (Some(cache), Some(l)) = (self.cache.as_mut(), slot.lease.take()) {
+            cache.release(l);
+        }
+        slot.covered = 0;
+        slot.reused = 0;
     }
 
     /// Shared eviction bookkeeping of the admission scan and the paged
@@ -416,10 +465,8 @@ impl ReplicaSim {
     /// through the engine's swap-cost hook.
     fn evict_victim(&mut self, victim: usize) {
         let info = self.active.remove(victim);
-        self.generated[victim] += (self.step - info.join_step) as usize;
-        self.records[victim].preemptions += 1;
-        self.active_covered_tokens -= self.covered[victim] as u64;
-        let released = self.pool.release(victim);
+        let released = self.leave_decode(victim, info);
+        self.slots[victim].record.preemptions += 1;
         if self.sim.preemption == PreemptionPolicy::SwapOut {
             // Only the victim's own pages travel to the swap tier; its
             // covered prefix stays resident in the cache, pinned by the
@@ -428,7 +475,8 @@ impl ReplicaSim {
             let held_blocks = if self.paged() {
                 released
             } else {
-                (self.requests[victim].prompt_len + self.generated[victim]) as u64
+                let slot = &self.slots[victim];
+                (slot.request.prompt_len + slot.generated) as u64
             };
             let held_bytes = held_blocks * self.pool.block_bytes();
             let cost = self.plan.cost.swap_cost(held_bytes);
@@ -437,18 +485,15 @@ impl ReplicaSim {
             self.swap.seconds += cost;
             self.swap.swap_outs += 1;
             self.swap.swapped_out_bytes += held_bytes;
-            self.swapped[victim] = Some(held_bytes);
+            self.slots[victim].swapped = Some(held_bytes);
         } else {
             // Restart-with-recompute drops the victim's cache claim; its
             // re-admission consults the cache afresh.
-            if let (Some(cache), Some(l)) = (self.cache.as_mut(), self.lease[victim].take()) {
-                cache.release(l);
-            }
-            self.covered[victim] = 0;
-            self.reused[victim] = 0;
+            self.release_claim(victim);
         }
-        self.ready.push(self.ranks[victim], victim);
-        self.waiting_kv_bytes += self.kv_bytes_per_request[victim];
+        let slot = &self.slots[victim];
+        self.ready.push(slot.rank, victim);
+        self.waiting_kv_bytes += slot.kv_bytes;
     }
 
     /// Run exactly one token boundary: pull arrivals, admit (evicting under
@@ -464,11 +509,11 @@ impl ReplicaSim {
     /// never admit the queue head into an idle system.
     pub fn step_boundary(&mut self, horizon: f64) -> Result<BoundaryOutcome, HermesError> {
         // 1. Pull every request that has arrived by now into the queue.
-        while self.next_arrival < self.requests.len()
-            && self.requests[self.next_arrival].arrival <= self.clock
-        {
-            self.ready
-                .push(self.ranks[self.next_arrival], self.next_arrival);
+        while let Some(slot) = self.slots.get(self.next_arrival) {
+            if slot.request.arrival > self.clock {
+                break;
+            }
+            self.ready.push(slot.rank, self.next_arrival);
             self.next_arrival += 1;
         }
 
@@ -511,10 +556,10 @@ impl ReplicaSim {
                 // count as reclaimable capacity: they are evicted before an
                 // admission is declared infeasible. Without a cache nothing
                 // is matched, reclaimable or inserted.
-                let kv = self.kv_bytes_per_request[idx];
                 let seats = self.active.len() + self.prefilling.len() + admitted.len();
-                let request = &self.requests[idx];
-                let resumed = self.swapped[idx].is_some();
+                let slot = &self.slots[idx];
+                let request = &slot.request;
+                let resumed = slot.swapped.is_some();
                 let (lookup_len, plan) = match &self.cache {
                     Some(c) => {
                         let lookup_len = if resumed {
@@ -528,7 +573,7 @@ impl ReplicaSim {
                 };
                 let do_insert = !resumed && plan.can_insert && plan.matched < lookup_len;
                 let target_covered = if resumed {
-                    self.covered[idx]
+                    slot.covered
                 } else if do_insert {
                     lookup_len
                 } else {
@@ -540,7 +585,7 @@ impl ReplicaSim {
                     0
                 };
                 let charged_tokens = if self.paged() {
-                    request.prompt_len + self.generated[idx] + 1 - target_covered
+                    request.prompt_len + slot.generated + 1 - target_covered
                 } else {
                     request.prompt_len + request.gen_len
                 };
@@ -552,23 +597,23 @@ impl ReplicaSim {
                     && used + extra <= cap.saturating_add(plan.freeable_blocks)
                 {
                     self.ready.pop();
-                    self.waiting_kv_bytes -= kv;
+                    let slot = &mut self.slots[idx];
+                    self.waiting_kv_bytes -= slot.kv_bytes;
                     if let Some(cache) = self.cache.as_mut() {
-                        let prefix = &self.requests[idx].prefix;
                         let lease = if resumed {
                             None
                         } else {
-                            let (l, matched) = cache.acquire(&prefix[..lookup_len]);
+                            let (l, matched) = cache.acquire(&slot.request.prefix[..lookup_len]);
                             debug_assert_eq!(matched, plan.matched, "plan and acquire must agree");
                             // Only the *matched* run skips prefill; an
                             // inserted run is cache-resident but this
                             // request still computes it (into the cache's
                             // blocks).
-                            self.reused[idx] = matched;
-                            if !self.ever_admitted[idx] {
-                                self.records[idx].reused_prefix_tokens = matched;
+                            slot.reused = matched;
+                            if !slot.ever_admitted {
+                                slot.record.reused_prefix_tokens = matched;
                             }
-                            self.lease[idx] = Some(l);
+                            slot.lease = Some(l);
                             Some(l)
                         };
                         let shortfall = (used + extra).saturating_sub(cap);
@@ -577,11 +622,11 @@ impl ReplicaSim {
                         }
                         if let Some(l) = lease.filter(|_| do_insert) {
                             self.pool.acquire_blocks(insert_blocks);
-                            cache.insert(l, &prefix[plan.matched..lookup_len]);
+                            cache.insert(l, &slot.request.prefix[plan.matched..lookup_len]);
                         }
                     }
+                    slot.covered = target_covered;
                     self.pool.allocate(idx, own);
-                    self.covered[idx] = target_covered;
                     admitted.push(idx);
                     continue;
                 }
@@ -599,7 +644,7 @@ impl ReplicaSim {
                     let mut victims: Vec<usize> = Vec::new();
                     let mut freed = 0u64;
                     let mut feasible = false;
-                    for victim in self.active.victims_outranking(self.ranks[idx]) {
+                    for victim in self.active.victims_outranking(self.slots[idx].rank) {
                         freed += self.pool.held(victim);
                         victims.push(victim);
                         if self.sim.admission.admits(seats - victims.len(), 0, 0)
@@ -630,11 +675,9 @@ impl ReplicaSim {
         // by paging their KV back in — no recompute: they skip prefill and
         // rejoin the decode batch right here, continuing where they
         // stopped. The swap-in leg is priced like the swap-out was.
-        let mut resident: Vec<usize> = Vec::with_capacity(admitted.len());
-        for idx in admitted {
-            let Some(bytes) = self.swapped[idx].take() else {
-                resident.push(idx);
-                continue;
+        admitted.retain(|&idx| {
+            let Some(bytes) = self.slots[idx].swapped.take() else {
+                return true;
             };
             let cost = self.plan.cost.swap_cost(bytes);
             self.clock += cost;
@@ -642,17 +685,9 @@ impl ReplicaSim {
             self.swap.seconds += cost;
             self.swap.swap_ins += 1;
             self.swap.swapped_in_bytes += bytes;
-            let request = &self.requests[idx];
-            self.active_covered_tokens += self.covered[idx] as u64;
-            self.active.join(
-                idx,
-                request.prompt_len + self.generated[idx],
-                request.gen_len - self.generated[idx],
-                self.ranks[idx],
-                self.step,
-            );
-        }
-        let admitted = resident;
+            self.join_decode(idx);
+            false
+        });
 
         // 3. Hand the newly admitted requests to the prefill policy. A
         // request resumed after a preemption re-prefills its prompt *plus*
@@ -667,72 +702,40 @@ impl ReplicaSim {
                 // so an all-at-once batch pays exactly the closed-loop
                 // prefill). A fully-covered request prefills nothing and
                 // charges nothing.
-                if !admitted.is_empty() {
-                    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-                    for &idx in &admitted {
-                        let p =
-                            self.requests[idx].prompt_len + self.generated[idx] - self.reused[idx];
-                        match groups.iter_mut().find(|(len, _)| *len == p) {
-                            Some((_, members)) => members.push(idx),
-                            None => groups.push((p, vec![idx])),
-                        }
+                let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+                for &idx in &admitted {
+                    let p = self.slots[idx].prefill_target();
+                    match groups.iter_mut().find(|(len, _)| *len == p) {
+                        Some((_, members)) => members.push(idx),
+                        None => groups.push((p, vec![idx])),
                     }
-                    for (prefill_len, members) in groups {
-                        // This group's prefill starts now, after every
-                        // earlier group's pass has elapsed.
-                        for &idx in &members {
-                            if !self.ever_admitted[idx] {
-                                self.records[idx].admitted = self.clock;
-                                self.ever_admitted[idx] = true;
-                            }
-                        }
-                        self.recomputed_prefill_tokens += prefill_len * members.len();
-                        if prefill_len > 0 {
-                            let cost = self.plan.cost.prefill_cost(prefill_len, members.len());
-                            self.breakdown.prefill += cost;
-                            self.clock += cost;
-                        }
+                }
+                for (prefill_len, members) in groups {
+                    // This group's prefill starts now, after every earlier
+                    // group's pass has elapsed.
+                    for &idx in &members {
+                        self.slots[idx].stamp_admitted(self.clock);
                     }
-                    for idx in admitted {
-                        let request = &self.requests[idx];
-                        self.active_covered_tokens += self.covered[idx] as u64;
-                        self.active.join(
-                            idx,
-                            request.prompt_len + self.generated[idx],
-                            request.gen_len - self.generated[idx],
-                            self.ranks[idx],
-                            self.step,
-                        );
-                        if self.generated[idx] == 0 {
-                            self.pending_first_token.push(idx);
-                        }
+                    self.recomputed_prefill_tokens += prefill_len * members.len();
+                    if prefill_len > 0 {
+                        let cost = self.plan.cost.prefill_cost(prefill_len, members.len());
+                        self.breakdown.prefill += cost;
+                        self.clock += cost;
                     }
+                }
+                for idx in admitted {
+                    self.join_decode(idx);
                 }
             }
             PrefillPolicy::Chunked { .. } => {
                 for idx in admitted {
-                    let target =
-                        self.requests[idx].prompt_len + self.generated[idx] - self.reused[idx];
+                    let target = self.slots[idx].prefill_target();
                     self.recomputed_prefill_tokens += target;
                     if target == 0 {
                         // Fully covered: nothing to prefill, join the decode
                         // batch at this very boundary.
-                        if !self.ever_admitted[idx] {
-                            self.records[idx].admitted = self.clock;
-                            self.ever_admitted[idx] = true;
-                        }
-                        let request = &self.requests[idx];
-                        self.active_covered_tokens += self.covered[idx] as u64;
-                        self.active.join(
-                            idx,
-                            request.prompt_len + self.generated[idx],
-                            request.gen_len - self.generated[idx],
-                            self.ranks[idx],
-                            self.step,
-                        );
-                        if self.generated[idx] == 0 {
-                            self.pending_first_token.push(idx);
-                        }
+                        self.slots[idx].stamp_admitted(self.clock);
+                        self.join_decode(idx);
                         continue;
                     }
                     self.prefill_target_tokens += target;
@@ -740,7 +743,6 @@ impl ReplicaSim {
                         idx,
                         target,
                         done: 0,
-                        started: false,
                     });
                 }
             }
@@ -765,13 +767,7 @@ impl ReplicaSim {
                     break;
                 }
                 let take = chunk_tokens.min(seq.target - seq.done).min(budget_left);
-                if !seq.started {
-                    if !self.ever_admitted[seq.idx] {
-                        self.records[seq.idx].admitted = self.clock;
-                        self.ever_admitted[seq.idx] = true;
-                    }
-                    seq.started = true;
-                }
+                self.slots[seq.idx].stamp_admitted(self.clock);
                 self.chunks.push(PrefillChunk {
                     prompt_len: seq.target,
                     tokens: take,
@@ -794,10 +790,9 @@ impl ReplicaSim {
                     head, self.sim.admission.max_batch, self.sim.admission.kv_memory_bytes
                 )));
             }
-            if self.next_arrival < self.requests.len() {
-                let arrival = self.requests[self.next_arrival].arrival;
-                if arrival <= horizon {
-                    self.clock = self.clock.max(arrival);
+            if let Some(slot) = self.slots.get(self.next_arrival) {
+                if slot.request.arrival <= horizon {
+                    self.clock = self.clock.max(slot.request.arrival);
                     return Ok(BoundaryOutcome::Jumped);
                 }
             }
@@ -821,7 +816,7 @@ impl ReplicaSim {
             let growers: Vec<usize> = {
                 let pool = &self.pool;
                 let active = &self.active;
-                let covered = &self.covered;
+                let slots = &self.slots;
                 let step = self.step;
                 active
                     .by_rank
@@ -831,7 +826,7 @@ impl ReplicaSim {
                         // hermes-lint: allow(D3, reason = "by_rank only indexes active slots, whose info is always populated")
                         let info = active.info[idx].as_ref().expect("rank index is active");
                         let context = (info.shift + step as i64) as usize;
-                        pool.held(idx) < pool.blocks_for_tokens(context + 1 - covered[idx])
+                        pool.held(idx) < pool.blocks_for_tokens(context + 1 - slots[idx].covered)
                     })
                     .collect()
             };
@@ -855,7 +850,10 @@ impl ReplicaSim {
                         continue;
                     }
                 }
-                let victim = self.active.victims_outranking(self.ranks[grower]).next();
+                let victim = self
+                    .active
+                    .victims_outranking(self.slots[grower].rank)
+                    .next();
                 match victim {
                     Some(victim) => {
                         self.evict_victim(victim);
@@ -905,11 +903,11 @@ impl ReplicaSim {
         // First tokens land before completions so a single-token request
         // gets `first_token == completed`, exactly as the per-sequence walk
         // stamped them. A pending joiner evicted before its first step is
-        // simply dropped here (still unstamped) and re-queued on rejoin.
+        // dropped here unstamped; `join_decode` pushes it again on rejoin.
         for i in 0..self.pending_first_token.len() {
             let idx = self.pending_first_token[i];
             if self.active.contains(idx) {
-                self.records[idx].first_token = self.clock;
+                self.slots[idx].record.first_token = self.clock;
             }
         }
         self.pending_first_token.clear();
@@ -917,17 +915,13 @@ impl ReplicaSim {
         self.active
             .drain_finished(self.step, |idx, info| finished.push((idx, info)));
         for (idx, info) in finished {
-            self.records[idx].completed = self.clock;
+            self.slots[idx].record.completed = self.clock;
             self.completed += 1;
-            self.pool.release(idx);
-            self.generated[idx] += (self.step - info.join_step) as usize;
+            self.leave_decode(idx, info);
             // The covered run outlives the request: releasing the lease
             // leaves the prefix resident for later arrivals, reclaimable
             // only under pressure.
-            self.active_covered_tokens -= self.covered[idx] as u64;
-            if let (Some(cache), Some(l)) = (self.cache.as_mut(), self.lease[idx].take()) {
-                cache.release(l);
-            }
+            self.release_claim(idx);
         }
 
         // 7. Prompts that completed this step join the decode batch at the
@@ -942,18 +936,7 @@ impl ReplicaSim {
                 touched -= 1;
                 let seq = self.prefilling.remove(i);
                 self.prefill_target_tokens -= seq.target;
-                let request = &self.requests[seq.idx];
-                self.active_covered_tokens += self.covered[seq.idx] as u64;
-                self.active.join(
-                    seq.idx,
-                    seq.target + self.reused[seq.idx],
-                    request.gen_len - self.generated[seq.idx],
-                    self.ranks[seq.idx],
-                    self.step,
-                );
-                if self.generated[seq.idx] == 0 {
-                    self.pending_first_token.push(seq.idx);
-                }
+                self.join_decode(seq.idx);
             } else {
                 i += 1;
             }
@@ -964,29 +947,87 @@ impl ReplicaSim {
 
 #[cfg(test)]
 impl ReplicaSim {
-    /// KV conservation audit, run by the tests between token boundaries.
+    /// Invariant audit, run by the tests between token boundaries.
     ///
-    /// - Paged: the pool's used blocks are exactly the blocks the request
-    ///   slots hold plus the blocks resident in the prefix cache.
-    /// - Reserve: the pool's used blocks are exactly the full contexts
+    /// - Clock: it never goes backwards between audits.
+    /// - Partition: every slot is in exactly one state — not yet arrived,
+    ///   queued, prefilling, decoding, completed or extracted — and the
+    ///   counts agree with [`ReplicaSim::outstanding`] and
+    ///   [`ReplicaSim::completed`]. A slot in none of the queue, the
+    ///   prefilling set and the decode batch has completed.
+    /// - Lifecycle: a completed slot has generated its whole `gen_len` and
+    ///   has `arrival ≤ admitted ≤ first_token ≤ completed`; an in-flight
+    ///   one has tokens left to generate.
+    /// - KV, paged: the pool's used blocks are exactly the blocks the
+    ///   request slots hold plus the blocks resident in the prefix cache.
+    /// - KV, reserve: the pool's used blocks are exactly the full contexts
     ///   (`prompt_len + gen_len`) of the decoding and prefilling requests.
-    /// - Both: usage never exceeds the capacity.
-    pub(crate) fn audit_kv(&self) {
+    /// - KV, both: usage never exceeds the capacity.
+    pub(crate) fn audit(&mut self) {
+        assert!(
+            self.clock >= self.audited_clock,
+            "clock went back from {} to {}",
+            self.audited_clock,
+            self.clock
+        );
+        self.audited_clock = self.clock;
+
+        let n = self.slots.len();
+        let mut places = vec![0usize; n];
+        let decoding = (0..n).filter(|&idx| self.active.contains(idx));
+        let prefilling = self.prefilling.iter().map(|seq| seq.idx);
+        for idx in self.ready.indices().chain(prefilling).chain(decoding) {
+            places[idx] += 1;
+        }
+        let (mut waiting, mut completed, mut extracted) = (0, 0, 0);
+        for (idx, slot) in self.slots.iter().enumerate() {
+            let r = &slot.record;
+            if slot.extracted || idx >= self.next_arrival {
+                assert_eq!(places[idx], 0, "request {} scheduled while away", r.id);
+                if slot.extracted {
+                    extracted += 1;
+                } else {
+                    waiting += 1;
+                }
+                continue;
+            }
+            assert!(places[idx] <= 1, "request {} is in several states", r.id);
+            if places[idx] == 1 {
+                waiting += 1;
+                assert!(slot.generated < r.gen_len, "request {} ran over", r.id);
+            } else {
+                completed += 1;
+                assert_eq!(slot.generated, r.gen_len, "request {} done early", r.id);
+                assert!(
+                    r.arrival <= r.admitted
+                        && r.admitted <= r.first_token
+                        && r.first_token <= r.completed,
+                    "request {} completed out of order: {r:?}",
+                    r.id
+                );
+            }
+        }
+        assert_eq!(completed, self.completed, "completions not conserved");
+        assert_eq!(extracted, self.extracted_count, "extractions not conserved");
+        assert_eq!(
+            waiting,
+            self.outstanding(),
+            "outstanding work not conserved"
+        );
+
         let used = self.pool.used_blocks();
         if let Some(cap) = self.pool.capacity_blocks() {
             assert!(used <= cap, "pool holds {used} blocks over capacity {cap}");
         }
         let expected: u64 = if self.paged() {
-            (0..self.requests.len())
-                .map(|idx| self.pool.held(idx))
-                .sum::<u64>()
+            (0..n).map(|idx| self.pool.held(idx)).sum::<u64>()
                 + self.cache.as_ref().map_or(0, |c| c.resident_blocks())
         } else {
             let full_context = |idx: usize| {
-                let r = &self.requests[idx];
+                let r = &self.slots[idx].request;
                 (r.prompt_len + r.gen_len) as u64
             };
-            (0..self.requests.len())
+            (0..n)
                 .filter(|&idx| self.active.contains(idx))
                 .map(full_context)
                 .chain(self.prefilling.iter().map(|seq| full_context(seq.idx)))

@@ -50,6 +50,7 @@ pub(super) struct ActiveInfo {
 ///   worst-ranked-first victim selection under preemption;
 /// - `finish` is the event heap of completion steps, validated lazily
 ///   against each sequence's `epoch` so evictions need not search the heap.
+#[derive(Default)]
 pub(super) struct ActiveSet {
     /// Per-request active-sequence state (`None` when not decoding).
     pub(super) info: Vec<Option<ActiveInfo>>,
@@ -66,20 +67,8 @@ pub(super) struct ActiveSet {
 }
 
 impl ActiveSet {
-    pub(super) fn new(num_requests: usize) -> Self {
-        ActiveSet {
-            info: (0..num_requests).map(|_| None).collect(),
-            count: 0,
-            groups: BTreeMap::new(),
-            by_rank: BTreeSet::new(),
-            finish: BinaryHeap::new(),
-            next_epoch: 0,
-        }
-    }
-
-    /// Grow the per-request slab to cover `slots` request indexes (used by
-    /// `ReplicaSim::inject`, which appends requests over the replica's
-    /// lifetime instead of sizing everything up front).
+    /// Grow the per-request slab to cover `slots` request indexes (the
+    /// replica appends requests over its lifetime).
     pub(super) fn ensure_slots(&mut self, slots: usize) {
         if self.info.len() < slots {
             self.info.resize_with(slots, || None);
@@ -192,7 +181,7 @@ impl ActiveSet {
 /// processed. It holds its KV blocks but does not join the decode batch
 /// until the prompt completes.
 pub(super) struct PrefillingSequence {
-    /// Index into the request/record vectors.
+    /// The request's slot index.
     pub(super) idx: usize,
     /// Prefill tokens to process before the sequence may decode: the prompt,
     /// plus — after a preemption — the tokens already generated, which
@@ -200,7 +189,4 @@ pub(super) struct PrefillingSequence {
     pub(super) target: usize,
     /// Prefill tokens processed so far.
     pub(super) done: usize,
-    /// Whether the first chunk has been scheduled (admission is stamped when
-    /// it is).
-    pub(super) started: bool,
 }

@@ -1,5 +1,5 @@
 //! The cluster-facing half of the replica: pulling in-flight work back out
-//! of a drained or failed machine, packaging it for re-dispatch, and
+//! of a drained or failed machine as [`RequestSlot`]s for re-dispatch, and
 //! folding the survivors into the replica's report.
 //!
 //! Everything here operates on the same private [`ReplicaSim`] state as the
@@ -10,72 +10,35 @@ use hermes_core::ServingReport;
 
 use crate::kv::KvPool;
 use crate::prefix::PrefixCache;
-use crate::request::{RequestRecord, ServingRequest};
+use crate::request::RequestRecord;
 use crate::simulator::ServingOutcome;
 use crate::tallies::{build_report, KvTallies, PrefixTallies};
 
-use super::ReplicaSim;
-
-/// An in-flight request pulled back out of a drained or failed replica,
-/// carrying everything the router needs to dispatch it again elsewhere:
-/// the request itself, its global scheduling rank, the decode progress a
-/// restart-with-recompute re-prefills, and the lifecycle record whose
-/// original arrival/admission stamps must survive the move.
-pub(crate) struct CarriedRequest {
-    pub request: ServingRequest,
-    pub rank: f64,
-    pub generated: usize,
-    pub ever_admitted: bool,
-    pub record: RequestRecord,
-}
+use super::{ReplicaSim, RequestSlot};
 
 impl ReplicaSim {
     /// Pull back every request that never started (drain semantics): the
     /// injected-but-not-yet-arrived tail and the never-admitted part of the
     /// ready queue. In-flight work — decoding, prefilling, swapped-out or
-    /// evicted-and-requeued sequences — finishes locally. Returned
-    /// requests are sorted by global request id for deterministic
-    /// re-dispatch.
-    pub(crate) fn extract_pending(&mut self) -> Vec<CarriedRequest> {
-        let mut carried: Vec<CarriedRequest> = Vec::new();
-        // The not-yet-arrived tail never entered the ready queue.
-        while self.next_arrival < self.requests.len() {
-            let idx = self.requests.len() - 1;
-            if idx < self.next_arrival {
-                break;
-            }
-            carried.push(self.carry_out(idx));
-            self.waiting_kv_bytes -= self.kv_bytes_per_request[idx];
-            self.requests.pop();
-            self.times.pop();
-            self.ranks.pop();
-            self.records.pop();
-            self.kv_bytes_per_request.pop();
-            self.generated.pop();
-            self.ever_admitted.pop();
-            self.swapped.pop();
-            self.covered.pop();
-            self.reused.pop();
-            self.lease.pop();
-            self.extracted.pop();
-        }
+    /// evicted-and-requeued sequences — finishes locally. The slots come
+    /// back sorted by global request id for deterministic re-dispatch.
+    pub(crate) fn extract_pending(&mut self) -> Vec<RequestSlot> {
+        // The not-yet-arrived tail never entered the ready queue, so it
+        // holds nothing here and leaves whole.
+        let mut carried = self.slots.split_off(self.next_arrival);
+        self.waiting_kv_bytes -= carried.iter().map(|slot| slot.kv_bytes).sum::<u64>();
         // Never-admitted waiters leave; preempted/swapped victims stay and
         // finish here.
-        let mut keep: Vec<usize> = Vec::new();
-        while let Some(idx) = self.ready.pop() {
-            if self.ever_admitted[idx] {
-                keep.push(idx);
+        let queued: Vec<usize> = std::iter::from_fn(|| self.ready.pop()).collect();
+        for idx in queued {
+            if self.slots[idx].ever_admitted {
+                self.ready.push(self.slots[idx].rank, idx);
             } else {
-                self.waiting_kv_bytes -= self.kv_bytes_per_request[idx];
-                self.extracted[idx] = true;
-                self.extracted_count += 1;
-                carried.push(self.carry_out(idx));
+                self.waiting_kv_bytes -= self.slots[idx].kv_bytes;
+                carried.push(self.hand_out(idx));
             }
         }
-        for idx in keep {
-            self.ready.push(self.ranks[idx], idx);
-        }
-        carried.sort_by_key(|c| c.record.id);
+        carried.sort_by_key(|c| c.request.id);
         carried
     }
 
@@ -83,45 +46,33 @@ impl ReplicaSim {
     /// replica's memory: the ready queue (swap-tier contents are lost),
     /// the prefilling set (chunk progress is lost) and the active batch
     /// all hand their requests back for restart-with-recompute elsewhere;
-    /// the KV pool and the prefix cache restart cold. Returned requests
-    /// are sorted by global request id for deterministic re-dispatch.
-    pub(crate) fn extract_all(&mut self) -> Vec<CarriedRequest> {
+    /// the KV pool and the prefix cache restart cold. Returned slots are
+    /// sorted by global request id for deterministic re-dispatch.
+    pub(crate) fn extract_all(&mut self) -> Vec<RequestSlot> {
         let mut carried = self.extract_pending();
         // Admitted waiters (evicted or swapped-out victims): their swap
         // bytes and cache claims die with the machine.
         while let Some(idx) = self.ready.pop() {
-            self.waiting_kv_bytes -= self.kv_bytes_per_request[idx];
-            self.swapped[idx] = None;
-            self.release_claim(idx);
-            self.extracted[idx] = true;
-            self.extracted_count += 1;
-            carried.push(self.carry_out(idx));
+            self.waiting_kv_bytes -= self.slots[idx].kv_bytes;
+            carried.push(self.hand_out(idx));
         }
         // Prefilling sequences lose their chunk progress and their blocks.
         while let Some(seq) = self.prefilling.pop() {
             self.prefill_target_tokens -= seq.target;
             self.pool.release(seq.idx);
-            self.records[seq.idx].preemptions += 1;
-            self.release_claim(seq.idx);
-            self.extracted[seq.idx] = true;
-            self.extracted_count += 1;
-            carried.push(self.carry_out(seq.idx));
+            self.slots[seq.idx].record.preemptions += 1;
+            carried.push(self.hand_out(seq.idx));
         }
         // Active sequences record their progress (the remainder decodes
         // elsewhere after a re-prefill) and release everything they hold.
-        let decoding: Vec<usize> = (0..self.requests.len())
+        let decoding: Vec<usize> = (0..self.slots.len())
             .filter(|&idx| self.active.contains(idx))
             .collect();
         for idx in decoding {
             let info = self.active.remove(idx);
-            self.generated[idx] += (self.step - info.join_step) as usize;
-            self.records[idx].preemptions += 1;
-            self.active_covered_tokens -= self.covered[idx] as u64;
-            self.pool.release(idx);
-            self.release_claim(idx);
-            self.extracted[idx] = true;
-            self.extracted_count += 1;
-            carried.push(self.carry_out(idx));
+            self.leave_decode(idx, info);
+            self.slots[idx].record.preemptions += 1;
+            carried.push(self.hand_out(idx));
         }
         self.pending_first_token.clear();
         self.chunks.clear();
@@ -133,34 +84,25 @@ impl ReplicaSim {
             bt,
             self.pool.block_bytes(),
             self.pool.capacity_blocks(),
-            self.requests.len(),
+            self.slots.len(),
         );
         if self.cache.is_some() {
             self.cache = Some(PrefixCache::new(bt));
         }
-        carried.sort_by_key(|c| c.record.id);
+        carried.sort_by_key(|c| c.request.id);
         carried
     }
 
-    /// Drop request `idx`'s cache claim (lease, covered/reused runs).
-    fn release_claim(&mut self, idx: usize) {
-        if let (Some(cache), Some(l)) = (self.cache.as_mut(), self.lease[idx].take()) {
-            cache.release(l);
-        }
-        self.covered[idx] = 0;
-        self.reused[idx] = 0;
-    }
-
-    /// Package request `idx` for re-dispatch. The caller marks it
-    /// extracted (or pops it entirely, for the not-yet-arrived tail).
-    fn carry_out(&mut self, idx: usize) -> CarriedRequest {
-        CarriedRequest {
-            request: self.requests[idx].clone(),
-            rank: self.ranks[idx],
-            generated: self.generated[idx],
-            ever_admitted: self.ever_admitted[idx],
-            record: self.records[idx].clone(),
-        }
+    /// Mark request `idx`, which holds no blocks any more, extracted and
+    /// return a copy of its slot without swap bytes or cache claim.
+    fn hand_out(&mut self, idx: usize) -> RequestSlot {
+        self.release_claim(idx);
+        let slot = &mut self.slots[idx];
+        slot.swapped = None;
+        let carried = slot.clone();
+        slot.extracted = true;
+        self.extracted_count += 1;
+        carried
     }
 
     /// Restart a recovered replica's clock at `t` (it was dead in
@@ -173,19 +115,18 @@ impl ReplicaSim {
     /// extracted away by drain/fail complete elsewhere and are excluded)
     /// into its [`ServingReport`].
     pub(crate) fn report(&self) -> ServingReport {
-        let filtered: Vec<RequestRecord>;
-        let records: &[RequestRecord] = if self.extracted_count == 0 {
-            &self.records
-        } else {
-            filtered = self
-                .records
-                .iter()
-                .zip(&self.extracted)
-                .filter(|&(_, &gone)| !gone)
-                .map(|(r, _)| r.clone())
-                .collect();
-            &filtered
-        };
+        self.fold_report(&self.arrivals(), &self.surviving_records())
+    }
+
+    /// Arrival times of every injected request, in injection order, for
+    /// the empirical-rate fallback of the report.
+    fn arrivals(&self) -> Vec<f64> {
+        self.slots.iter().map(|slot| slot.request.arrival).collect()
+    }
+
+    /// Fold the tallies over `records`, packed out of the slots: the fold
+    /// walks them once per statistic.
+    fn fold_report(&self, times: &[f64], records: &[RequestRecord]) -> ServingReport {
         let kv_tallies = self.paged().then(|| KvTallies {
             block_tokens: self.pool.block_tokens(),
             block_bytes: self.pool.block_bytes(),
@@ -204,7 +145,7 @@ impl ReplicaSim {
         build_report(
             &self.sim,
             &self.plan.spec,
-            &self.times,
+            times,
             records,
             self.clock,
             self.completed,
@@ -218,24 +159,30 @@ impl ReplicaSim {
         )
     }
 
-    /// This replica's surviving records (extracted requests excluded), as
-    /// `(request id, record)` pairs for fleet-wide reassembly.
+    /// This replica's surviving records (extracted requests excluded), in
+    /// injection order.
     pub(crate) fn surviving_records(&self) -> Vec<RequestRecord> {
-        self.records
+        self.slots
             .iter()
-            .zip(&self.extracted)
-            .filter(|&(_, &gone)| !gone)
-            .map(|(r, _)| r.clone())
+            .filter(|slot| !slot.extracted)
+            .map(|slot| slot.record.clone())
             .collect()
     }
 
-    /// Finish the single-replica drive: the aggregate report plus every
-    /// record, exactly as the monolithic `simulate()` returned them.
+    /// Finish the single-replica drive, in which nothing was extracted:
+    /// the aggregate report plus every record, exactly as the monolithic
+    /// `simulate()` returned them. The records are moved out of the slots,
+    /// which the collect can do in the slots' own allocation.
     pub(crate) fn into_outcome(mut self) -> ServingOutcome {
-        let report = self.report();
+        debug_assert_eq!(self.extracted_count, 0);
+        let times = self.arrivals();
+        let records: Vec<RequestRecord> = std::mem::take(&mut self.slots)
+            .into_iter()
+            .map(|slot| slot.record)
+            .collect();
         ServingOutcome {
-            report,
-            records: std::mem::take(&mut self.records),
+            report: self.fold_report(&times, &records),
+            records,
         }
     }
 }

@@ -363,6 +363,7 @@ fn loaded_replica(
     // Ranks are immutable per request (see `crate::queue`), so they are
     // computed once up front instead of per comparison.
     let ranks = request_ranks(sim.scheduling, &requests);
+    replica.reserve(requests.len());
     for (request, rank) in requests.into_iter().zip(ranks) {
         replica.inject(request, rank);
     }

@@ -30,17 +30,18 @@ fn request(id: usize, arrival: f64, prompt_len: usize, gen_len: usize) -> Servin
     }
 }
 
-/// `simulate`, driven one token boundary at a time with the KV
-/// conservation audit after every boundary; the outcome must be exactly
-/// `simulate`'s. A replay is then failed halfway through the run: the
-/// audit must hold after `extract_all` empties the replica, and again at
-/// every boundary once the extracted requests are re-injected into it and
-/// run to completion.
+/// `simulate`, driven one token boundary at a time with the replica audit
+/// after every boundary; the outcome must be exactly `simulate`'s. Two
+/// replays then hand work back halfway through the run and re-inject it
+/// into the same replica, audited at every boundary until everything
+/// completes: a drain (`extract_pending`: the not-yet-arrived tail and the
+/// never-admitted waiters) and a failure (`extract_all`: everything in
+/// flight, with the replica's memory reset).
 fn simulate_audited(kind: SystemKind, sim: &ServingSimulation) -> ServingOutcome {
     let mut replica = loaded_replica(kind, &config(), sim).unwrap();
-    replica.audit_kv();
+    replica.audit();
     while replica.step_boundary(f64::INFINITY).unwrap() != BoundaryOutcome::Idle {
-        replica.audit_kv();
+        replica.audit();
     }
     let outcome = replica.into_outcome();
     let plain = simulate(kind, &config(), sim).unwrap();
@@ -51,24 +52,34 @@ fn simulate_audited(kind: SystemKind, sim: &ServingSimulation) -> ServingOutcome
     );
 
     let mid = outcome.report.makespan / 2.0;
-    let mut replay = loaded_replica(kind, &config(), sim).unwrap();
-    while replay.clock() < mid && replay.step_boundary(mid).unwrap() != BoundaryOutcome::Idle {
-        replay.audit_kv();
+    for fail in [false, true] {
+        let mut replay = loaded_replica(kind, &config(), sim).unwrap();
+        while replay.clock() < mid && replay.step_boundary(mid).unwrap() != BoundaryOutcome::Idle {
+            replay.audit();
+        }
+        let carried = if fail {
+            replay.extract_all()
+        } else {
+            replay.extract_pending()
+        };
+        replay.audit();
+        // Work comes back at the hand-back time, and the not-yet-arrived
+        // tail no earlier than it first arrived.
+        let restart = replay.clock();
+        for slot in carried {
+            let at = slot.request.arrival.max(restart);
+            replay.inject_carried(slot, at);
+        }
+        while replay.step_boundary(f64::INFINITY).unwrap() != BoundaryOutcome::Idle {
+            replay.audit();
+        }
+        assert_eq!(
+            replay.completed(),
+            sim.num_requests,
+            "{} lost requests",
+            if fail { "failover" } else { "drain" }
+        );
     }
-    let carried = replay.extract_all();
-    replay.audit_kv();
-    let restart = replay.clock();
-    for request in carried {
-        replay.inject_carried(request, restart);
-    }
-    while replay.step_boundary(f64::INFINITY).unwrap() != BoundaryOutcome::Idle {
-        replay.audit_kv();
-    }
-    assert_eq!(
-        replay.completed(),
-        sim.num_requests,
-        "failover lost requests"
-    );
     outcome
 }
 
@@ -1061,5 +1072,50 @@ fn request_larger_than_the_paged_pool_is_rejected() {
             assert!(msg.contains("KV blocks"), "{msg}");
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+#[test]
+fn swapped_out_victim_before_first_token_passes_the_audit() {
+    // A SwapOut victim evicted before its first decode step must get its
+    // `first_token` stamp when it swaps back in; an unstamped record fails
+    // the audit's lifecycle order. Blocks of 8 under chunked prefill, and
+    // blocks of 4 under stall-the-world prefill.
+    let mut w = template();
+    w.prompt_len = 24;
+    w.gen_len = 6;
+    let kv_cap = request_kv_bytes(&w, 40, 10) * 2;
+    for (block_tokens, prefill) in [
+        (
+            8,
+            PrefillPolicy::Chunked {
+                chunk_tokens: 6,
+                budget: 12,
+            },
+        ),
+        (4, PrefillPolicy::StallTheWorld),
+    ] {
+        let sim = ServingSimulation::new(w.clone(), ArrivalProcess::Poisson { rate: 3.0 }, 16)
+            .with_arrival_seed(0)
+            .with_admission(
+                AdmissionConfig::unlimited()
+                    .with_kv_memory_bytes(kv_cap)
+                    .with_paged_kv(block_tokens),
+            )
+            .with_classes(PrioritySpec::Cycle {
+                classes: vec![RequestClass::new(2), RequestClass::new(0)],
+            })
+            .with_scheduling(SchedulingPolicy::Priority)
+            .with_preemption(PreemptionPolicy::SwapOut)
+            .with_lengths(LengthDistribution::Uniform {
+                prompt_min: 8,
+                prompt_max: 40,
+                gen_min: 1,
+                gen_max: 10,
+            })
+            .with_prefill(prefill);
+        let outcome = simulate_audited(SystemKind::hermes_base(), &sim);
+        assert_eq!(outcome.report.completed, 16);
+        assert!(outcome.report.swap.as_ref().unwrap().swap_outs > 0);
     }
 }

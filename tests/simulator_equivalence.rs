@@ -431,3 +431,48 @@ proptest! {
         assert_equivalent(&sim);
     }
 }
+
+/// A SwapOut victim evicted before its first decode step must still get its
+/// `first_token` stamp when it swaps back in. Two smallest cases: paged
+/// blocks of 8 under chunked prefill, and blocks of 4 under stall-the-world
+/// prefill. Priority scheduling over a tier-2/tier-0 cycle with a two-seat
+/// KV budget evicts fresh tier-2 joiners for tier-0 arrivals.
+#[test]
+fn swapped_out_victim_before_first_token_is_stamped_on_swap_in() {
+    let classes = PrioritySpec::Cycle {
+        classes: vec![RequestClass::new(2), RequestClass::new(0)],
+    };
+    for (block_tokens, prefill) in [
+        (
+            8,
+            PrefillPolicy::Chunked {
+                chunk_tokens: 6,
+                budget: 12,
+            },
+        ),
+        (4, PrefillPolicy::StallTheWorld),
+    ] {
+        let sim = ServingSimulation::new(template(), ArrivalProcess::Poisson { rate: 3.0 }, 16)
+            .with_arrival_seed(0)
+            .with_admission(tight_kv(2).with_paged_kv(block_tokens))
+            .with_classes(classes.clone())
+            .with_scheduling(SchedulingPolicy::Priority)
+            .with_preemption(PreemptionPolicy::SwapOut)
+            .with_lengths(uniform_lengths())
+            .with_prefill(prefill);
+        let outcome = simulate(
+            SystemKind::hermes_base(),
+            &SystemConfig::paper_default(),
+            &sim,
+        )
+        .unwrap();
+        for r in &outcome.records {
+            assert!(
+                r.arrival <= r.admitted && r.admitted <= r.first_token,
+                "request {} left unstamped: {r:?}",
+                r.id
+            );
+        }
+        assert_equivalent(&sim);
+    }
+}
