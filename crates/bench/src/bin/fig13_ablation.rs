@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_core::{HermesOptions, HermesSystem, SystemConfig, Workload};
+use hermes_core::{try_run_system, HermesOptions, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
 /// One variant's speedups over Hermes-random across the batch sizes.
@@ -42,8 +42,7 @@ struct FigureOutput {
 
 fn fc_latency(model: ModelId, batch: usize, options: HermesOptions, config: &SystemConfig) -> f64 {
     let workload = Workload::paper_default(model).with_batch(batch);
-    HermesSystem::new(workload, config.clone(), options)
-        .run()
+    try_run_system(SystemKind::Hermes(options), &workload, config)
         .map(|r| r.breakdown.fc)
         .unwrap_or(f64::NAN)
 }

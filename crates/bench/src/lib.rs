@@ -6,8 +6,8 @@
 //! latency breakdowns). Absolute numbers come from the analytic substrate
 //! models of this repository rather than the authors' testbed; the *shape*
 //! of each result (who wins, by roughly what factor, where crossovers fall)
-//! is the reproduction target. See `EXPERIMENTS.md` at the repository root
-//! for the paper-vs-measured comparison.
+//! is the reproduction target. The "Figure binaries" section of the
+//! repository's `README.md` lists the binaries and how to run them.
 
 pub mod cluster_sweep;
 pub mod serving_sweep;

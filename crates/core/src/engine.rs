@@ -1,14 +1,15 @@
-//! The step-wise engine API: engines, cost models, sessions and per-token
-//! events.
+//! The step-wise engine API: cost models, sessions and per-token events.
 //!
 //! The Hermes workflow is inherently token-stepped — predictor lookups,
 //! hot/cold adjustment churn and window-based remapping (Algorithm 1) all
 //! happen *between* decode steps — so the public API exposes that structure
 //! directly instead of hiding it behind a closed-loop batch simulation:
 //!
-//! * [`InferenceEngine`] — a system (Hermes family or baseline) bound to a
-//!   hardware configuration; [`InferenceEngine::plan`] validates a workload
-//!   and produces a [`PlannedRun`], and [`InferenceEngine::start`] wraps the
+//! * [`Engine`](crate::Engine) — a system (Hermes family or baseline) bound
+//!   to a hardware configuration by
+//!   [`SystemKind::engine`](crate::SystemKind::engine);
+//!   [`Engine::plan`](crate::Engine::plan) validates a workload and produces
+//!   a [`PlannedRun`], and [`Engine::start`](crate::Engine::start) wraps the
 //!   plan in a [`Session`].
 //! * [`StepCostModel`] — the planned run's pricing function: one decode step
 //!   is priced as a function of the *current* batch composition
@@ -82,70 +83,6 @@ impl TokenEvent {
     pub fn latency_seconds(&self) -> f64 {
         self.latency.total()
     }
-}
-
-/// Explicit per-request state of an inference run, produced by
-/// [`InferenceEngine::start`].
-///
-/// The protocol is `prefill()` once, then `step()` until it returns
-/// `Ok(None)`; [`Session::report`] can be called at any point to fold what
-/// has been executed so far into an [`InferenceReport`].
-pub trait Session {
-    /// Run the prompting phase and return its event.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HermesError::SessionState`] if the session was already
-    /// prefilled.
-    fn prefill(&mut self) -> Result<TokenEvent, HermesError>;
-
-    /// Generate the next token, or `Ok(None)` once the workload's `gen_len`
-    /// tokens have all been produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HermesError::SessionState`] if [`Session::prefill`] has not
-    /// run yet.
-    fn step(&mut self) -> Result<Option<TokenEvent>, HermesError>;
-
-    /// Where the session stands in its prefill → decode → done lifecycle.
-    ///
-    /// Drivers branch on this instead of probing `prefill()` and swallowing
-    /// its [`HermesError::SessionState`], so genuine protocol errors are
-    /// never masked.
-    fn phase(&self) -> SessionPhase;
-
-    /// Number of decode tokens generated so far.
-    fn generated(&self) -> usize;
-
-    /// Whether every token of the workload has been generated.
-    fn is_done(&self) -> bool;
-
-    /// Fold everything executed so far into an [`InferenceReport`].
-    ///
-    /// Calling this mid-run yields a partial report (the metrics of the
-    /// tokens generated so far); after the session is driven to completion
-    /// it matches the one-shot report of
-    /// [`try_run_system`](crate::try_run_system) exactly.
-    fn report(&self) -> InferenceReport;
-}
-
-/// Drive a session to completion and return the folded report.
-///
-/// Works on a fresh session (runs prefill itself) and on a partially driven
-/// one (resumes stepping where the caller left off), branching on
-/// [`Session::phase`] rather than probing `prefill()`.
-///
-/// # Errors
-///
-/// Propagates any [`HermesError`] raised by the session protocol (none for
-/// a freshly started session).
-pub fn run_session(session: &mut dyn Session) -> Result<InferenceReport, HermesError> {
-    if session.phase() == SessionPhase::Created {
-        session.prefill()?;
-    }
-    while session.step()?.is_some() {}
-    Ok(session.report())
 }
 
 /// The composition of the decode batch at one step: the context length
@@ -290,10 +227,10 @@ pub struct PrefillChunk {
 /// Prices the work of a planned run as a function of the current batch
 /// composition.
 ///
-/// A cost model is produced by [`InferenceEngine::plan`] and owns all the
-/// per-run simulation state (activation traces, hot/cold plan, window
-/// remapping counters, …): each [`StepCostModel::decode_cost`] call advances
-/// that state by one token and prices the step for whatever batch
+/// A cost model is produced by [`Engine::plan`](crate::Engine::plan) and
+/// owns all the per-run simulation state (activation traces, hot/cold plan,
+/// window remapping counters, …): each [`StepCostModel::decode_cost`] call
+/// advances that state by one token and prices the step for whatever batch
 /// composition the caller is running — a fixed batch for the closed-loop
 /// sessions, a changing one under continuous batching.
 pub trait StepCostModel {
@@ -389,7 +326,8 @@ pub struct SessionSpec {
 }
 
 /// A validated, planned run: the static metadata plus the dynamic-batch
-/// cost model that prices it, produced by [`InferenceEngine::plan`].
+/// cost model that prices it, produced by
+/// [`Engine::plan`](crate::Engine::plan).
 pub struct PlannedRun {
     /// Static metadata of the planned run.
     pub spec: SessionSpec,
@@ -397,48 +335,15 @@ pub struct PlannedRun {
     pub cost: Box<dyn StepCostModel>,
 }
 
-/// An inference system bound to a hardware configuration, able to plan runs
-/// and open step-wise [`Session`]s for workloads.
+/// Explicit per-request state of an inference run, produced by
+/// [`Engine::start`](crate::Engine::start): a [`PlannedRun`] driven at the
+/// planned workload's fixed batch size, with every sequence at the same
+/// context length.
 ///
-/// Implemented by the Hermes family ([`HermesEngine`](crate::HermesEngine))
-/// and every baseline ([`AccelerateEngine`](crate::AccelerateEngine),
-/// [`FlexGenEngine`](crate::FlexGenEngine),
-/// [`DejaVuEngine`](crate::DejaVuEngine),
-/// [`TensorRtLlmEngine`](crate::TensorRtLlmEngine));
-/// [`SystemKind::engine`](crate::SystemKind::engine) dispatches to the right
-/// implementation.
-pub trait InferenceEngine {
-    /// Display name of the system (as used in the paper's figures).
-    fn name(&self) -> String;
-
-    /// Validate `workload` against this engine's configuration and plan a
-    /// run for it: the static metadata plus the [`StepCostModel`] that
-    /// prices decode steps for any batch composition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HermesError::InvalidWorkload`] /
-    /// [`HermesError::InvalidConfig`] for invalid inputs,
-    /// [`HermesError::ModelNotSupported`] when the system cannot run the
-    /// model family, and [`HermesError::InsufficientMemory`] when the model
-    /// does not fit in the configuration's memory.
-    fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError>;
-
-    /// Validate `workload` and open a closed-loop session for it: the plan's
-    /// cost model driven at the workload's fixed batch size.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`InferenceEngine::plan`].
-    fn start(&self, workload: &Workload) -> Result<Box<dyn Session>, HermesError> {
-        Ok(Box::new(SimSession::from_plan(self.plan(workload)?)))
-    }
-}
-
-/// The shared [`Session`] implementation used by every simulated engine:
-/// a [`PlannedRun`] driven at the planned workload's fixed batch size, with
-/// every sequence at the same context length.
-pub(crate) struct SimSession {
+/// The protocol is `prefill()` once, then `step()` until it returns
+/// `Ok(None)`; [`Session::report`] can be called at any point to fold what
+/// has been executed so far into an [`InferenceReport`].
+pub struct Session {
     spec: SessionSpec,
     cost: Box<dyn StepCostModel>,
     prefilled: bool,
@@ -449,10 +354,10 @@ pub(crate) struct SimSession {
     imbalance_samples: usize,
 }
 
-impl SimSession {
+impl Session {
     /// Create a fixed-batch session from a planned run.
     pub(crate) fn from_plan(plan: PlannedRun) -> Self {
-        SimSession {
+        Session {
             spec: plan.spec,
             cost: plan.cost,
             prefilled: false,
@@ -482,10 +387,14 @@ impl SimSession {
             dimm_imbalance: self.running_imbalance(),
         }
     }
-}
 
-impl Session for SimSession {
-    fn prefill(&mut self) -> Result<TokenEvent, HermesError> {
+    /// Run the prompting phase and return its event.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HermesError::SessionState`] if the session was already
+    /// prefilled.
+    pub fn prefill(&mut self) -> Result<TokenEvent, HermesError> {
         if self.prefilled {
             return Err(HermesError::SessionState(
                 "prefill() may only run once per session".to_string(),
@@ -500,7 +409,14 @@ impl Session for SimSession {
         Ok(self.event(Phase::Prefill, 0, latency))
     }
 
-    fn step(&mut self) -> Result<Option<TokenEvent>, HermesError> {
+    /// Generate the next token, or `Ok(None)` once the workload's `gen_len`
+    /// tokens have all been produced.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HermesError::SessionState`] if [`Session::prefill`] has not
+    /// run yet.
+    pub fn step(&mut self) -> Result<Option<TokenEvent>, HermesError> {
         if !self.prefilled {
             return Err(HermesError::SessionState(
                 "step() requires prefill() to run first".to_string(),
@@ -523,25 +439,38 @@ impl Session for SimSession {
         Ok(Some(self.event(Phase::Decode, index, outcome.latency)))
     }
 
-    fn phase(&self) -> SessionPhase {
+    /// Where the session stands in its prefill → decode → done lifecycle.
+    ///
+    /// Drivers branch on this instead of probing `prefill()` and swallowing
+    /// its [`HermesError::SessionState`], so genuine protocol errors are
+    /// never masked.
+    pub fn phase(&self) -> SessionPhase {
         if !self.prefilled {
             SessionPhase::Created
-        } else if self.t >= self.spec.workload.gen_len {
+        } else if self.is_done() {
             SessionPhase::Done
         } else {
             SessionPhase::Decoding
         }
     }
 
-    fn generated(&self) -> usize {
+    /// Number of decode tokens generated so far.
+    pub fn generated(&self) -> usize {
         self.t
     }
 
-    fn is_done(&self) -> bool {
+    /// Whether every token of the workload has been generated.
+    pub fn is_done(&self) -> bool {
         self.t >= self.spec.workload.gen_len
     }
 
-    fn report(&self) -> InferenceReport {
+    /// Fold everything executed so far into an [`InferenceReport`].
+    ///
+    /// Calling this mid-run yields a partial report (the metrics of the
+    /// tokens generated so far); after the session is driven to completion
+    /// it equals the one-shot report of
+    /// [`try_run_system`](crate::try_run_system).
+    pub fn report(&self) -> InferenceReport {
         InferenceReport {
             system: self.spec.system.clone(),
             workload: self.spec.workload.clone(),
@@ -557,14 +486,22 @@ impl Session for SimSession {
     }
 }
 
-/// Drive an internally constructed session to completion; infallible because
-/// the protocol is upheld by construction.
-pub(crate) fn drive(mut session: SimSession) -> InferenceReport {
-    match run_session(&mut session) {
-        Ok(report) => report,
-        // Unreachable: a fresh SimSession never reports protocol errors.
-        Err(_) => session.report(),
+/// Drive a session to completion and return the folded report.
+///
+/// Works on a fresh session (runs prefill itself) and on a partially driven
+/// one (resumes stepping where the caller left off), branching on
+/// [`Session::phase`] rather than probing `prefill()`.
+///
+/// # Errors
+///
+/// Propagates any [`HermesError`] raised by the session protocol (none for
+/// a freshly started session).
+pub fn run_session(session: &mut Session) -> Result<InferenceReport, HermesError> {
+    if session.phase() == SessionPhase::Created {
+        session.prefill()?;
     }
+    while session.step()?.is_some() {}
+    Ok(session.report())
 }
 
 #[cfg(test)]
@@ -598,8 +535,8 @@ mod tests {
         }
     }
 
-    fn constant_session(gen_len: usize, per_token: f64) -> SimSession {
-        SimSession::from_plan(PlannedRun {
+    fn constant_session(gen_len: usize, per_token: f64) -> Session {
+        Session::from_plan(PlannedRun {
             spec: spec(gen_len),
             cost: Box::new(FnCost(move |_| {
                 StepOutcome::balanced(LatencyBreakdown {
@@ -660,7 +597,7 @@ mod tests {
 
     #[test]
     fn steps_see_the_workload_batch_and_growing_context() {
-        let mut s = SimSession::from_plan(PlannedRun {
+        let mut s = Session::from_plan(PlannedRun {
             spec: {
                 let mut sp = spec(3);
                 sp.workload.batch = 4;
@@ -687,7 +624,7 @@ mod tests {
     #[test]
     fn imbalance_samples_average_across_steps() {
         let mut weights = vec![2.0, 4.0].into_iter();
-        let mut s = SimSession::from_plan(PlannedRun {
+        let mut s = Session::from_plan(PlannedRun {
             spec: spec(2),
             cost: Box::new(FnCost(move |_| StepOutcome {
                 latency: LatencyBreakdown::default(),

@@ -1,16 +1,16 @@
 //! Dispatch over every inference system evaluated in the paper.
 //!
 //! [`SystemKind`] names a system; [`SystemKind::engine`] binds it to a
-//! hardware configuration as a `Box<dyn InferenceEngine>`, from which
-//! step-wise [`Session`](crate::Session)s are opened. [`try_run_system`] is
-//! the one-shot convenience driver over that machinery.
+//! hardware configuration as an [`Engine`], which validates workloads, plans
+//! runs and opens step-wise [`Session`]s. [`try_run_system`] is the one-shot
+//! convenience driver over that machinery.
 
 use serde::{Deserialize, Serialize};
 
-use crate::baselines::{AccelerateEngine, DejaVuEngine, FlexGenEngine, TensorRtLlmEngine};
-use crate::engine::{run_session, InferenceEngine};
+use crate::baselines::{accelerate_plan, dejavu_plan, flexgen_plan, tensorrt_plan};
+use crate::engine::{run_session, PlannedRun, Session};
 use crate::error::HermesError;
-use crate::hermes::{HermesEngine, HermesOptions};
+use crate::hermes::{hermes_plan, HermesOptions};
 use crate::report::InferenceReport;
 use crate::{SystemConfig, Workload};
 
@@ -73,20 +73,70 @@ impl SystemKind {
     }
 
     /// Bind this system to a hardware configuration, returning the engine
-    /// that opens step-wise sessions for it.
+    /// that plans runs and opens step-wise sessions for it.
     ///
-    /// The TensorRT-LLM reference runs on its own multi-A100 platform and
-    /// ignores `config`.
-    pub fn engine(&self, config: &SystemConfig) -> Box<dyn InferenceEngine> {
-        match *self {
-            SystemKind::Accelerate => Box::new(AccelerateEngine::new(config.clone())),
-            SystemKind::FlexGen => Box::new(FlexGenEngine::new(config.clone())),
-            SystemKind::DejaVu => Box::new(DejaVuEngine::new(config.clone())),
-            SystemKind::Hermes(options) => Box::new(HermesEngine::new(config.clone(), options)),
-            SystemKind::TensorRtLlm { num_gpus } => {
-                Box::new(TensorRtLlmEngine::new(num_gpus).with_host_config(config.clone()))
-            }
+    /// The TensorRT-LLM reference runs on its own multi-A100 platform; its
+    /// engine still validates `config`, so every kind rejects the same
+    /// inputs.
+    pub fn engine(&self, config: &SystemConfig) -> Engine {
+        Engine {
+            kind: *self,
+            config: config.clone(),
         }
+    }
+}
+
+/// An inference system bound to a hardware configuration, able to plan runs
+/// and open step-wise [`Session`]s for workloads.
+#[derive(Debug, Clone)]
+pub struct Engine {
+    kind: SystemKind,
+    config: SystemConfig,
+}
+
+impl Engine {
+    /// Validate `workload` against this engine's configuration and plan a
+    /// run for it: the static metadata plus the
+    /// [`StepCostModel`](crate::StepCostModel) that prices decode steps for
+    /// any batch composition.
+    ///
+    /// # Errors
+    ///
+    /// Checked in this order: [`HermesError::InvalidWorkload`] and
+    /// [`HermesError::InvalidConfig`] for invalid inputs,
+    /// [`HermesError::ModelNotSupported`] for FlexGen and Deja Vu on non-OPT
+    /// models, [`HermesError::InvalidConfig`] for TensorRT-LLM on zero GPUs,
+    /// and [`HermesError::InsufficientMemory`] when a Hermes-family model
+    /// does not fit in the configuration's DIMM capacity.
+    pub fn plan(&self, workload: &Workload) -> Result<PlannedRun, HermesError> {
+        workload.validate()?;
+        self.config.validate()?;
+        let config = &self.config;
+        match self.kind {
+            SystemKind::FlexGen | SystemKind::DejaVu if !workload.model.is_opt_family() => {
+                Err(HermesError::ModelNotSupported {
+                    system: self.kind.name(),
+                })
+            }
+            SystemKind::TensorRtLlm { num_gpus: 0 } => Err(HermesError::InvalidConfig(
+                "num_gpus must be at least 1".to_string(),
+            )),
+            SystemKind::Accelerate => Ok(accelerate_plan(workload, config)),
+            SystemKind::FlexGen => Ok(flexgen_plan(workload, config)),
+            SystemKind::DejaVu => Ok(dejavu_plan(workload, config)),
+            SystemKind::TensorRtLlm { num_gpus } => Ok(tensorrt_plan(workload, num_gpus)),
+            SystemKind::Hermes(options) => hermes_plan(workload, config, options),
+        }
+    }
+
+    /// Validate `workload` and open a closed-loop session for it: the plan's
+    /// cost model driven at the workload's fixed batch size.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Engine::plan`].
+    pub fn start(&self, workload: &Workload) -> Result<Session, HermesError> {
+        Ok(Session::from_plan(self.plan(workload)?))
     }
 }
 
@@ -106,10 +156,10 @@ pub fn try_run_system(
     workload: &Workload,
     config: &SystemConfig,
 ) -> Result<InferenceReport, HermesError> {
-    // Validation happens in `InferenceEngine::start`, the single entry point
-    // shared with callers who drive sessions themselves.
+    // Validation happens in `Engine::plan`, the single entry point shared
+    // with callers who drive sessions themselves.
     let mut session = kind.engine(config).start(workload)?;
-    run_session(session.as_mut())
+    run_session(&mut session)
 }
 
 #[cfg(test)]
@@ -178,11 +228,15 @@ mod tests {
 
     #[test]
     fn engine_names_match_kind_names() {
+        // Each planner spells its system's name in its `SessionSpec`; it must
+        // agree with the name the figures print.
         let config = SystemConfig::paper_default();
+        let w = quick(ModelId::Opt13B);
         let mut kinds = SystemKind::figure9_lineup();
         kinds.push(SystemKind::TensorRtLlm { num_gpus: 5 });
         for kind in kinds {
-            assert_eq!(kind.engine(&config).name(), kind.name());
+            let plan = kind.engine(&config).plan(&w).unwrap();
+            assert_eq!(plan.spec.system, kind.name());
         }
     }
 

@@ -19,8 +19,7 @@
 //! the KV pool refer to a request by its slot index, in injection order.
 
 use hermes_core::{
-    HermesError, InferenceEngine, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig,
-    SystemKind,
+    Engine, HermesError, LatencyBreakdown, PlannedRun, PrefillChunk, SystemConfig, SystemKind,
 };
 
 use crate::kv::KvPool;
@@ -121,7 +120,7 @@ pub struct ReplicaSim {
     sim: ServingSimulation,
     /// The planned engine, kept for worst-case re-validation of injected
     /// requests.
-    engine: Box<dyn InferenceEngine>,
+    engine: Engine,
     /// The template plan pricing every step.
     plan: PlannedRun,
     /// The KV pool: paged blocks, or one-token blocks under reserve

@@ -53,6 +53,8 @@ fn step_wise_equals_one_shot_for_every_system() {
         let oneshot = try_run_system(kind, &w, &config).unwrap();
         let name = kind.name();
 
+        // One code path: the step-wise report is bitwise the one-shot one.
+        assert_eq!(report, oneshot, "{name}");
         assert_eq!(report.system, oneshot.system, "{name}");
         assert_close(
             report.breakdown.total(),
@@ -158,8 +160,9 @@ fn session_protocol_is_enforced() {
     ));
     // run_session resumes a partially driven session and completes it.
     session.step().unwrap();
-    let report = run_session(session.as_mut()).unwrap();
+    let report = run_session(&mut session).unwrap();
     let oneshot = try_run_system(SystemKind::hermes(), &w, &config).unwrap();
+    assert_eq!(report, oneshot);
     assert_close(
         report.breakdown.total(),
         oneshot.breakdown.total(),
