@@ -7,6 +7,7 @@
 //! points concurrently — the output is byte-identical at any thread count).
 
 use hermes_bench::cluster_sweep::{run_sweep, ClusterSweepOutput, TARGET_TTFT_P95};
+use hermes_bench::{json_flag, print_json, threads_flag};
 
 fn print_tables(output: &ClusterSweepOutput) {
     println!(
@@ -74,21 +75,9 @@ fn print_tables(output: &ClusterSweepOutput) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--threads takes a positive integer"))
-        .unwrap_or(1);
-
-    let output = run_sweep(threads);
-    if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializable sweep")
-        );
+    let output = run_sweep(threads_flag());
+    if json_flag() {
+        print_json(&output);
     } else {
         print_tables(&output);
     }

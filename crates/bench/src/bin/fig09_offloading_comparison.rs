@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_bench::{geomean_speedup, run_lineup};
+use hermes_bench::{geomean_speedup, json_flag, print_json, run_lineup};
 use hermes_core::{SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
@@ -53,7 +53,7 @@ struct FigureOutput {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_flag();
     let config = SystemConfig::paper_default();
     let systems = [
         SystemKind::Accelerate,
@@ -103,10 +103,7 @@ fn main() {
                 .collect(),
             speedups,
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializable figure")
-        );
+        print_json(&output);
         return;
     }
 

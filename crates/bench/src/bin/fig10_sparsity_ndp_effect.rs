@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_bench::{geomean_speedup, run_lineup};
+use hermes_bench::{geomean_speedup, json_flag, print_json, run_lineup};
 use hermes_core::{SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
@@ -38,7 +38,7 @@ struct FigureOutput {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_flag();
     let config = SystemConfig::paper_default();
     let systems = [
         SystemKind::Accelerate,
@@ -79,10 +79,7 @@ fn main() {
             ndp_speedup: ndp,
             base_over_accelerate: base,
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializable figure")
-        );
+        print_json(&output);
         return;
     }
 

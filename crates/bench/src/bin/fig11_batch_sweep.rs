@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_bench::run_lineup;
+use hermes_bench::{json_flag, print_json, run_lineup};
 use hermes_core::{SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
@@ -51,7 +51,7 @@ struct FigureOutput {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_flag();
     let config = SystemConfig::paper_default();
     let systems = SystemKind::figure9_lineup();
     let batches = [1usize, 2, 4, 8, 16];
@@ -100,10 +100,7 @@ fn main() {
                 })
                 .collect(),
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializable figure")
-        );
+        print_json(&output);
         return;
     }
 

@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use hermes_bench::{json_flag, print_json};
 use hermes_core::{try_run_system, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
@@ -62,7 +63,7 @@ fn measure(label: &str, workload: &Workload, kind: SystemKind, config: &SystemCo
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_flag();
     let config = SystemConfig::paper_default();
     let batches = [1usize, 4, 16];
 
@@ -127,10 +128,7 @@ fn main() {
             component_names: component_names.map(str::to_string).to_vec(),
             sections,
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializable figure")
-        );
+        print_json(&output);
         return;
     }
 

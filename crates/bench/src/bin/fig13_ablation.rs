@@ -10,6 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use hermes_bench::{json_flag, print_json};
 use hermes_core::{try_run_system, HermesOptions, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
@@ -52,7 +53,7 @@ fn fc_latency(model: ModelId, batch: usize, options: HermesOptions, config: &Sys
 type Variant = (&'static str, fn() -> HermesOptions);
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_flag();
     let config = SystemConfig::paper_default();
     let variants: [Variant; 6] = [
         ("Hermes-random", HermesOptions::random_mapping),
@@ -95,10 +96,7 @@ fn main() {
             batches: batches.to_vec(),
             tables,
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializable figure")
-        );
+        print_json(&output);
         return;
     }
 

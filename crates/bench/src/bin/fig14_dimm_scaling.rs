@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use hermes_bench::run_cell;
+use hermes_bench::{json_flag, print_json, run_cell};
 use hermes_core::{SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
 
@@ -41,7 +41,7 @@ struct FigureOutput {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_flag();
     let dimm_counts = [1usize, 2, 4, 8, 16];
     let models = [
         ModelId::Opt13B,
@@ -82,10 +82,7 @@ fn main() {
                 })
                 .collect(),
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializable figure")
-        );
+        print_json(&output);
         return;
     }
 

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use hermes_bench::{json_flag, print_json};
 use hermes_ndp::{ActivationUnit, DimmConfig, DramBandwidthModel, GemvUnit};
 
 /// The table's configured and derived figures.
@@ -45,7 +46,7 @@ struct TableOutput {
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
+    let json = json_flag();
     let cfg = DimmConfig::ddr4_3200();
     let dram = DramBandwidthModel::new(cfg.clone());
     let gemv = GemvUnit::new(&cfg);
@@ -72,10 +73,7 @@ fn main() {
             gemv_peak_gflops: gemv.peak_flops() / 1e9,
             activation_lanes: act.lanes(),
         };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializable table")
-        );
+        print_json(&output);
         return;
     }
 

@@ -8,14 +8,58 @@
 //! of each result (who wins, by roughly what factor, where crossovers fall)
 //! is the reproduction target. The "Figure binaries" section of the
 //! repository's `README.md` lists the binaries and how to run them.
+//! Every binary takes `--json` ([`json_flag`], [`print_json`]); the two
+//! sweeps also take `--threads N` ([`threads_flag`]).
 
 pub mod cluster_sweep;
 pub mod serving_sweep;
 pub mod sweep;
-pub mod throughput;
+
+use std::num::NonZeroUsize;
+
+use serde::Serialize;
 
 use hermes_core::{try_run_system, InferenceReport, SystemConfig, SystemKind, Workload};
 use hermes_model::ModelId;
+
+/// Whether the binary was passed `--json`: print [`print_json`] output
+/// instead of the Markdown tables.
+pub fn json_flag() -> bool {
+    std::env::args().any(|a| a == "--json")
+}
+
+/// Print `output` to stdout as pretty-printed JSON, the `--json` format of
+/// every binary.
+pub fn print_json<T: Serialize>(output: &T) {
+    println!(
+        "{}",
+        serde_json::to_string_pretty(output).expect("bench output serializes")
+    );
+}
+
+/// [`threads_flag`] over `args`: the usage message when `N` is missing,
+/// not a number or 0.
+fn parse_threads(args: &[String]) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == "--threads") else {
+        return Ok(1);
+    };
+    let value = args.get(i + 1).map_or("", String::as_str);
+    value
+        .parse::<NonZeroUsize>()
+        .map(NonZeroUsize::get)
+        .map_err(|_| format!("--threads takes a positive integer, got `{value}`"))
+}
+
+/// The worker count given as `--threads N`, 1 when the flag is absent. A
+/// missing, non-numeric or zero `N` prints a usage error naming the flag
+/// and exits with status 2.
+pub fn threads_flag() -> usize {
+    let args: Vec<String> = std::env::args().collect();
+    parse_threads(&args).unwrap_or_else(|usage| {
+        eprintln!("error: {usage}");
+        std::process::exit(2)
+    })
+}
 
 /// Result of one (system, workload) cell of a figure.
 #[derive(Debug, Clone)]
@@ -119,6 +163,21 @@ mod tests {
         let cell = run_cell(SystemKind::FlexGen, &w, &config);
         assert_eq!(cell.formatted(), "N.P.");
         assert!(cell.report.is_none());
+    }
+
+    #[test]
+    fn threads_must_be_a_positive_count() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_threads(&args(&["bin", "--json"])), Ok(1));
+        assert_eq!(parse_threads(&args(&["bin", "--threads", "4"])), Ok(4));
+        for bad in [
+            &["bin", "--threads", "0"][..],
+            &["bin", "--threads", "x"],
+            &["bin", "--threads"],
+        ] {
+            let usage = parse_threads(&args(bad)).unwrap_err();
+            assert!(usage.starts_with("--threads "), "{usage}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! must serialize identically across runs. This linter turns the conventions
 //! that protect those invariants into machine-checked rules (run
 //! `hermes-lint --list-rules` for the registry): no hash-ordered containers
-//! in deterministic crates (D1), no wall-clock reads outside bench (D2), no
+//! in deterministic crates (D1), no wall-clock reads (D2), no
 //! `unwrap`/`expect`/`panic!` in library code (D3), no `as` numeric casts in
 //! KV/token accounting (S1), ordered float folds only (S2), and `#[must_use]`
 //! on report-returning APIs (H1).

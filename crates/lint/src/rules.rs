@@ -65,9 +65,10 @@ pub fn all() -> &'static [Rule] {
         Rule {
             id: "D2",
             severity: Severity::Deny,
-            summary: "no wall-clock reads outside bench measurement code",
+            summary: "no wall-clock reads",
             rationale: "The simulator owns the virtual clock; an Instant/SystemTime read makes \
-                        output depend on host timing. Only crates/bench may measure real time.",
+                        output depend on host timing. Host-time measurement lives in the \
+                        perfbench/ benchmark, outside the linted roots.",
             check: check_d2,
         },
         Rule {

@@ -130,11 +130,10 @@
 //! completion events incrementally, exploiting that every active sequence
 //! grows by exactly one token per step. A token boundary therefore costs
 //! O(admissions · log queue + distinct context lengths) instead of the
-//! full ready-queue re-sort plus active-set re-scan of a naive loop:
-//! million-request traces simulate in seconds (roughly 0.9M simulated
-//! requests per wall-clock second on a backlogged 100k-request Poisson
-//! trace; see the repo-root `BENCH_serving_sim.json` trajectory and the
-//! `serving_sim` criterion bench in `hermes-bench`). The pre-rewrite
+//! full ready-queue re-sort plus active-set re-scan of a naive loop, so
+//! million-request traces simulate in seconds. The repository's
+//! `perfbench/` benchmark measures this loop end to end and layer by layer
+//! on the workloads that `BENCHMARK.json` names. The pre-rewrite
 //! sort-based loop is retained verbatim behind the `reference` cargo
 //! feature (`reference::simulate_reference`) as a differential-testing
 //! oracle: the `simulator_equivalence` suite holds the two to

@@ -199,6 +199,7 @@ impl ReplicaSim {
             KvAccounting::Paged { block_tokens } => block_tokens,
             KvAccounting::Reserve => 1,
         };
+        // `validate` rejected a block whose bytes overflow `u64`.
         let block_bytes = block_tokens as u64 * token_kv_bytes(&sim.template);
         let capacity = sim
             .admission

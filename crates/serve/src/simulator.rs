@@ -159,8 +159,9 @@ impl ServingSimulation {
     }
 
     /// Validate the scenario's policy combination up front: admission caps,
-    /// the prefill policy's internal consistency, bounded-paged-pool
-    /// preemption and the cache-requires-paged constraint. Shared by every
+    /// the prefill policy's internal consistency, a paged block's byte size,
+    /// bounded-paged-pool preemption and the cache-requires-paged
+    /// constraint. Shared by every
     /// entry point — [`simulate`], [`ReplicaSim::new`] and the cluster
     /// driver — so a misconfigured replica fails with
     /// [`HermesError::InvalidConfig`] before any sampling or planning runs.
@@ -171,6 +172,7 @@ impl ServingSimulation {
     pub fn validate(&self) -> Result<(), HermesError> {
         self.admission.validate()?;
         self.prefill.validate()?;
+        validate_block_bytes(self)?;
         validate_paged_preemption(self)?;
         validate_prefix_cache(self)
     }
@@ -391,6 +393,21 @@ pub(crate) fn validate_request_lengths(
             return Err(HermesError::InvalidWorkload(format!(
                 "request {} (prompt_len {}, gen_len {}) overflows the KV-cache byte count",
                 r.id, r.prompt_len, r.gen_len
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Reject a paged block whose bytes (`block_tokens` tokens of the
+/// template's KV) overflow `u64`: the pool could not size its blocks, and
+/// a wrapped size would divide the byte budget into nonsense.
+pub(crate) fn validate_block_bytes(sim: &ServingSimulation) -> Result<(), HermesError> {
+    if let KvAccounting::Paged { block_tokens } = sim.admission.accounting {
+        let footprint = sim.template.model_config().memory_footprint();
+        if footprint.checked_kv_cache_bytes(block_tokens, 1).is_none() {
+            return Err(HermesError::InvalidConfig(format!(
+                "paged block_tokens {block_tokens} overflows the KV-cache byte count of one block"
             )));
         }
     }

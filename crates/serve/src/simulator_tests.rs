@@ -457,6 +457,31 @@ fn kv_byte_overflow_is_rejected() {
             other => panic!("expected InvalidWorkload, got {other:?}"),
         }
     }
+    // A paged block whose bytes overflow `u64` must not wrap into an
+    // unbounded pool (or panic on the multiply); the reference oracle
+    // reports the same error.
+    let huge_blocks = ServingSimulation::new(template(), ArrivalProcess::AllAtOnce, 1)
+        .with_admission(
+            AdmissionConfig::unlimited()
+                .with_kv_memory_bytes(1 << 30)
+                .with_paged_kv(1 << 50),
+        )
+        .with_preemption(PreemptionPolicy::EvictAndRefill);
+    let expected = simulate(SystemKind::hermes_base(), &config(), &huge_blocks);
+    match &expected {
+        Err(HermesError::InvalidConfig(msg)) => {
+            assert!(
+                msg.contains("block_tokens") && msg.contains("overflows"),
+                "{msg}"
+            );
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    #[cfg(feature = "reference")]
+    assert_eq!(
+        crate::reference::simulate_reference(SystemKind::hermes_base(), &config(), &huge_blocks),
+        expected
+    );
 }
 
 /// KV budget that fits one template request but not two.
